@@ -16,8 +16,8 @@ Environment knobs:
 * ``REPRO_MAX_DENSE_MACS`` — override the per-layer dense-MAC budget used to
   pick the scale factor (default used by the benches: 2e6).
 * ``REPRO_MAX_LAYERS`` — cap on simulated layers per model (default 8).
-* ``REPRO_WORKERS`` / ``REPRO_PARALLEL=0`` — process-pool width / force the
-  serial executor (see :mod:`repro.runtime.runner`).
+* ``REPRO_WORKERS`` — process-pool width; ``1`` runs serially (see
+  :mod:`repro.runtime.runner`).
 * ``REPRO_CACHE_DIR`` / ``REPRO_CACHE=0`` — result-cache directory / disable
   the persistent cache (see :mod:`repro.runtime.cache`).
 """
@@ -71,8 +71,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         "   ".join(f"{name}: {value}" for name, value in stats.as_row().items())
     )
     executor = (
-        f"parallel x{runner.max_workers} ({runner.pool_mode} pool, "
-        f"{runner.schedule} schedule)"
+        f"parallel x{runner.max_workers} ({runner.pool_mode} pool)"
         if runner.parallel
         else "serial"
     )

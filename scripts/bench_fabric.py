@@ -1,6 +1,6 @@
 """Timed fabric benchmark: remote-worker scaling and warm-path overhead.
 
-Starts a coordinator with its HTTP listener on an ephemeral port, spawns
+Starts a coordinator with its HTTP listener on a free port, spawns
 real ``python -m repro worker`` subprocesses against it, and measures one
 cold sweep grid end to end through ``REPRO_POOL=remote``:
 

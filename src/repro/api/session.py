@@ -302,10 +302,10 @@ class Session:
         """Disk-cache layout telemetry plus the session runner's counters.
 
         One batched scan of the cache directory (entry/byte totals, shard
-        count, surviving flat legacy entries, scan wall-clock) under
-        ``"cache"`` keys, and the runner's lifetime counters — including the
-        ``exec_seconds`` / ``cache_scan_seconds`` / ``peak_in_flight``
-        wall-clock telemetry — under ``"runner"``.  ``None`` when the session
+        count, scan wall-clock) under ``"cache"`` keys, and the runner's
+        lifetime counters — including the ``exec_seconds`` /
+        ``cache_scan_seconds`` / ``peak_in_flight`` wall-clock telemetry —
+        under ``"runner"``.  ``None`` when the session
         runs without a cache.
         """
         if self.cache is None:
@@ -338,7 +338,7 @@ class Session:
 
 
 # ----------------------------------------------------------------------
-# Shared sessions (what the deprecated free-function shims delegate to)
+# Shared sessions (one memoized grid per settings value, process-wide)
 # ----------------------------------------------------------------------
 #: Most settings values whose shared session is kept alive at once (the
 #: bound the old ``lru_cache(maxsize=4)`` implementation enforced).
@@ -352,8 +352,8 @@ def shared_session(settings: ExperimentSettings) -> Session:
     """The process-wide session for one settings value.
 
     Backed by the process-wide :func:`~repro.runtime.default_runner`, so the
-    in-process memo and the runner's stats are shared between the facade and
-    any legacy free-function call sites that run the same settings.  The
+    in-process memo and the runner's stats are shared by every caller that
+    runs the same settings (the benchmark suite's figures above all).  The
     registry is lock-guarded (concurrent first calls observe one session,
     never two), LRU-bounded to :data:`_SHARED_SESSION_LIMIT` settings values
     and explicitly droppable via :func:`reset_shared_sessions`.

@@ -11,7 +11,6 @@ from repro.experiments.layerwise import (
     LayerwiseResults,
     collate_layerwise,
     layerwise_jobs,
-    run_layerwise_comparison,
     layerwise_speedup_rows,
     onchip_traffic_rows,
     miss_rate_rows,
@@ -21,7 +20,6 @@ from repro.experiments.end_to_end import (
     EndToEndResults,
     collate_end_to_end,
     end_to_end_jobs,
-    run_end_to_end,
     end_to_end_speedup_rows,
     performance_per_area_rows,
     best_dataflow_per_layer_rows,
@@ -35,7 +33,6 @@ __all__ = [
     "LayerwiseResults",
     "collate_layerwise",
     "layerwise_jobs",
-    "run_layerwise_comparison",
     "layerwise_speedup_rows",
     "onchip_traffic_rows",
     "miss_rate_rows",
@@ -43,7 +40,6 @@ __all__ = [
     "EndToEndResults",
     "collate_end_to_end",
     "end_to_end_jobs",
-    "run_end_to_end",
     "end_to_end_speedup_rows",
     "performance_per_area_rows",
     "best_dataflow_per_layer_rows",

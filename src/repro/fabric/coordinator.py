@@ -31,6 +31,7 @@ from repro.runtime.cache import ResultCache
 from repro.serve.http import (
     HttpError,
     body_bound_for_path,
+    discard_input,
     encode_response,
     read_request,
 )
@@ -149,7 +150,7 @@ class _FabricListener:
 
         try:
             while True:
-                keep_alive = False
+                keep_alive = rejected = False
                 try:
                     # Per-route bound: only /v1/work/complete admits large
                     # uploads; the other fabric routes parse tiny records.
@@ -184,8 +185,11 @@ class _FabricListener:
                         status=error.status,
                         body=dump_body(error_record(error.status, error.message)),
                     )
+                    rejected = True
                 writer.write(encode_response(response, keep_alive=keep_alive))
                 await writer.drain()
+                if rejected:
+                    await discard_input(reader)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError):

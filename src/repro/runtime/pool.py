@@ -13,9 +13,6 @@ Environment knob:
 
 * ``REPRO_POOL=persistent`` (default) — reuse one process-wide executor
   across batches.
-* ``REPRO_POOL=ephemeral`` — legacy behaviour: one executor per batch
-  (useful for A/B benchmarking and for workloads that must release worker
-  memory between batches).
 * ``REPRO_POOL=remote`` — dispatch chunks to the distributed fabric's pull
   queue instead of local processes; external ``python -m repro worker``
   processes claim and execute them (see :mod:`repro.fabric`).
@@ -175,21 +172,16 @@ def reset_shared_pool() -> None:
 
 
 def acquire_executor(mode: str, max_workers: int) -> tuple[Executor, bool]:
-    """An executor for one batch under ``mode``.
+    """The process-wide executor for one batch under ``mode``.
 
-    Returns ``(executor, transient)``: when ``transient`` is true the caller
-    owns the executor and must shut it down after the batch (ephemeral mode);
-    otherwise the executor belongs to the shared pool and must be left alone.
+    Returns ``(executor, False)``.  The executor is shared and must be left
+    alone after the batch; the second element is always ``False`` and is
+    kept only for callers that unpack a pair.
     """
-    if mode == "ephemeral":
-        return (
-            ProcessPoolExecutor(max_workers=max_workers, mp_context=pool_context()),
-            True,
-        )
     if mode == "remote":
         # The fabric's queue-backed executor: chunks become leasable work
         # items that external ``python -m repro worker`` processes claim over
-        # HTTP.  Process-wide (like the persistent pool), hence not transient.
+        # HTTP.
         from repro.fabric import runtime_executor
 
         return runtime_executor(), False

@@ -79,6 +79,7 @@ from repro.serve.http import (
     Request,
     Response,
     body_bound_for_path,
+    discard_input,
     encode_response,
     read_request,
 )
@@ -118,7 +119,7 @@ class ServeApp:
     ) -> None:
         try:
             while True:
-                keep_alive = False
+                keep_alive = rejected = False
                 try:
                     # Only a coordinator surface admits large bodies, and
                     # then only on the upload route — every other route
@@ -137,10 +138,13 @@ class ServeApp:
                     response = await self._dispatch_bounded(request)
                 except HttpError as error:
                     response = self._error(error.status, error.message)
+                    rejected = True
                 except Exception as error:  # route bug: report, keep serving
                     response = self._error(500, f"{type(error).__name__}: {error}")
                 writer.write(encode_response(response, keep_alive=keep_alive))
                 await writer.drain()
+                if rejected:
+                    await discard_input(reader)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError):

@@ -170,6 +170,27 @@ async def read_request(
     return Request(method=method, path=path, headers=headers, body=body)
 
 
+#: Longest a connection closing on a request error keeps draining its input.
+LINGER_SECONDS = 2.0
+
+
+async def discard_input(reader: asyncio.StreamReader) -> None:
+    """Read and drop what the client is still sending, for a bounded time.
+
+    Called after the error response of a rejected request (a ``413`` leaves
+    the oversized body unread) and before the close: closing a socket with
+    unread input makes the kernel send a reset, which can fail the client's
+    upload before it ever reads the response.  Returns at end-of-stream (the
+    client read the response and hung up) or after :data:`LINGER_SECONDS`.
+    """
+    try:
+        async with asyncio.timeout(LINGER_SECONDS):
+            while await reader.read(1 << 16):
+                pass
+    except (TimeoutError, ConnectionError):
+        pass
+
+
 def encode_response(response: Response, *, keep_alive: bool) -> bytes:
     """Serialize one response, with framing and connection headers."""
     reason = REASONS.get(response.status, "Unknown")

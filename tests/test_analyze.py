@@ -138,10 +138,8 @@ class TestKnobRegistry:
     def test_defaults(self, monkeypatch):
         for name in knobs.KNOBS:
             monkeypatch.delenv(name, raising=False)
-        assert knobs.get("REPRO_PARALLEL") is True
         assert knobs.get("REPRO_CACHE") is True
         assert knobs.get("REPRO_WORKERS") is None
-        assert knobs.get("REPRO_SCHED") == "cost"
         assert knobs.get("REPRO_POOL") == "persistent"
         assert knobs.get("REPRO_LEASE_SECONDS") == 30.0
         assert knobs.get("REPRO_MAX_ATTEMPTS") == 5
@@ -150,8 +148,8 @@ class TestKnobRegistry:
         assert knobs.get("REPRO_ENGINE") is None
 
     def test_empty_string_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "")
-        assert knobs.get("REPRO_SCHED") == "cost"
+        monkeypatch.setenv("REPRO_POOL", "")
+        assert knobs.get("REPRO_POOL") == "persistent"
 
     def test_parse_errors_name_the_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")

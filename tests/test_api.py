@@ -41,8 +41,6 @@ from repro.experiments import (
     offchip_traffic_rows,
     onchip_traffic_rows,
     performance_per_area_rows,
-    run_end_to_end,
-    run_layerwise_comparison,
 )
 from repro.metrics.results import LayerSimResult, ModelSimResult
 from repro.runtime import CPU_DESIGN, DESIGN_ORDER, BatchRunner, ResultCache
@@ -169,21 +167,6 @@ class TestRequiredJobs:
     def test_memoized_grids_need_nothing(self, tiny_session):
         tiny_session.end_to_end()
         assert tiny_session.required_jobs("fig12") == []
-
-
-# ----------------------------------------------------------------------
-# Deprecated free-function shims
-# ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_run_end_to_end_warns_and_delegates(self, tiny_session):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            results = run_end_to_end(TINY)
-        assert results is tiny_session.end_to_end()
-
-    def test_run_layerwise_comparison_warns_and_delegates(self, tiny_session):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            results = run_layerwise_comparison(TINY)
-        assert results is tiny_session.layerwise()
 
 
 # ----------------------------------------------------------------------

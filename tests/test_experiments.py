@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import shared_session
 from repro.experiments import (
     area_power_rows,
     best_dataflow_per_layer_rows,
@@ -14,8 +15,6 @@ from repro.experiments import (
     offchip_traffic_rows,
     onchip_traffic_rows,
     performance_per_area_rows,
-    run_end_to_end,
-    run_layerwise_comparison,
 )
 from repro.experiments.layerwise import DESIGN_ORDER
 from repro.metrics import format_table
@@ -27,12 +26,12 @@ TINY = default_settings(max_dense_macs=2e5, max_layers_per_model=3)
 
 @pytest.fixture(scope="module")
 def layerwise():
-    return run_layerwise_comparison(TINY)
+    return shared_session(TINY).layerwise()
 
 
 @pytest.fixture(scope="module")
 def end_to_end():
-    return run_end_to_end(TINY)
+    return shared_session(TINY).end_to_end()
 
 
 class TestSettings:
@@ -70,7 +69,7 @@ class TestLayerwiseHarness:
             assert set(layerwise.results[layer]) == set(DESIGN_ORDER)
 
     def test_caching_returns_same_object(self, layerwise):
-        assert run_layerwise_comparison(TINY) is layerwise
+        assert shared_session(TINY).layerwise() is layerwise
 
     def test_speedup_rows_shape(self, layerwise):
         rows = layerwise_speedup_rows(layerwise)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import shared_session
 from repro.experiments import (
     default_settings,
     end_to_end_speedup_rows,
     performance_per_area_rows,
-    run_end_to_end,
 )
 from repro.metrics.results import geometric_mean
 from repro.runtime import DESIGN_ORDER
@@ -29,7 +29,7 @@ TINY = default_settings(max_dense_macs=2e5, max_layers_per_model=3)
 
 @pytest.fixture(scope="module")
 def end_to_end():
-    return run_end_to_end(TINY)
+    return shared_session(TINY).end_to_end()
 
 
 @pytest.fixture(scope="module")

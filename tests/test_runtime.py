@@ -21,7 +21,8 @@ import pytest
 
 from repro.arch.config import default_config
 from repro.dataflows import Dataflow
-from repro.experiments import default_settings, run_end_to_end, run_layerwise_comparison
+from repro.api import Session
+from repro.experiments import default_settings
 from repro.runtime import (
     CPU_DESIGN,
     DESIGN_ORDER,
@@ -216,10 +217,27 @@ class TestResultCache:
     def test_missing_sees_memory_and_legacy_levels(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, 1)  # in memory + disk
-        legacy_key = "cd" * 32
-        cache.legacy_path_for(legacy_key).write_bytes(b"whatever")  # flat file
-        assert cache.missing(["ab" * 32, legacy_key, "ef" * 32]) == ["ef" * 32]
+        cache.path_for("ab" * 32).unlink()  # now only the memory level has it
+        # A file in the pre-shard flat layout is not an entry: it misses.
+        flat_key = "cd" * 32
+        (tmp_path / f"{flat_key}.pkl").write_bytes(b"whatever")
+        assert cache.missing(["ab" * 32, flat_key, "ef" * 32]) == [flat_key, "ef" * 32]
 
+
+    def test_stats_report_counts_sharded_entries_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("12" * 32, "a")
+        cache.put("34" * 32, "b")
+        (tmp_path / f"{'56' * 32}.pkl").write_bytes(b"flat")  # not an entry
+        report = cache.stats_report()
+        assert set(report) == {
+            "directory", "entries", "size_bytes", "shard_dirs", "scan_seconds"
+        }
+        assert report["entries"] == cache.entry_count() == 2
+        assert report["shard_dirs"] == 2
+        assert report["size_bytes"] == cache.size_bytes() > 0
+        assert cache.clear() == 2
+        assert cache.stats_report()["entries"] == 0
 
 class TestResultCacheConcurrentMutation:
     """``missing()``/``get_many()`` against a directory another writer is
@@ -519,19 +537,17 @@ def _end_to_end_fingerprint(results) -> dict:
 
 class TestParallelSerialEquivalence:
     def test_end_to_end_bit_identical(self):
-        serial = run_end_to_end(SETTINGS, runner=BatchRunner(parallel=False, cache=None))
-        parallel = run_end_to_end(
-            SETTINGS, runner=BatchRunner(parallel=True, max_workers=4, cache=None)
-        )
+        serial = Session(SETTINGS, parallel=False, cache=None).end_to_end()
+        parallel = Session(
+            SETTINGS, parallel=True, max_workers=4, cache=None
+        ).end_to_end()
         assert _end_to_end_fingerprint(serial) == _end_to_end_fingerprint(parallel)
 
     def test_layerwise_bit_identical(self):
-        serial = run_layerwise_comparison(
-            SETTINGS, runner=BatchRunner(parallel=False, cache=None)
-        )
-        parallel = run_layerwise_comparison(
-            SETTINGS, runner=BatchRunner(parallel=True, max_workers=4, cache=None)
-        )
+        serial = Session(SETTINGS, parallel=False, cache=None).layerwise()
+        parallel = Session(
+            SETTINGS, parallel=True, max_workers=4, cache=None
+        ).layerwise()
         for layer in serial.layer_names():
             for design in DESIGN_ORDER:
                 assert (
@@ -637,16 +653,16 @@ class TestWorkerPool:
     def test_env_knob_validates(self, monkeypatch):
         from repro.runtime.pool import pool_mode_from_env
 
-        monkeypatch.setenv("REPRO_POOL", "ephemeral")
-        assert pool_mode_from_env() == "ephemeral"
+        monkeypatch.setenv("REPRO_POOL", "remote")
+        assert pool_mode_from_env() == "remote"
         monkeypatch.delenv("REPRO_POOL")
         assert pool_mode_from_env() == "persistent"
         monkeypatch.setenv("REPRO_POOL", "bogus")
         with pytest.raises(ValueError, match="REPRO_POOL"):
             pool_mode_from_env()
 
-    @pytest.mark.parametrize("pool_mode", ["persistent", "ephemeral"])
-    def test_both_pool_modes_match_serial_results(self, tmp_path, pool_mode):
+    def test_persistent_pool_matches_serial_results(self, tmp_path):
+        """The remote mode's counterpart lives in ``test_fabric.py``."""
         from repro.runtime import reset_shared_pool
 
         jobs = [
@@ -659,8 +675,8 @@ class TestWorkerPool:
             parallel = BatchRunner(
                 parallel=True,
                 max_workers=2,
-                cache=ResultCache(tmp_path / pool_mode),
-                pool_mode=pool_mode,
+                cache=ResultCache(tmp_path),
+                pool_mode="persistent",
             ).run(jobs)
         finally:
             reset_shared_pool()
@@ -714,6 +730,60 @@ class TestCostModel:
             for design in ("SIGMA-like", "GAMMA-like")
         ]
         assert job_group_key(pair[0]) == job_group_key(pair[1])
+
+
+class TestCostSchedule:
+    """``BatchRunner._plan_chunks``: operand groups, LPT packing, order."""
+
+    @staticmethod
+    def _misses():
+        return [
+            (job.key(), job)
+            for job in (
+                _layer_job(design=design, index=index)
+                for index in range(len(REPRESENTATIVE_LAYERS))
+                for design in DESIGN_ORDER + (CPU_DESIGN,)
+            )
+        ]
+
+    def test_small_groups_stay_whole_with_flexagon_first(self):
+        from repro.runtime import job_group_key
+
+        runner = BatchRunner(parallel=True, max_workers=2, cache=None)
+        chunks = runner._plan_chunks(self._misses())
+        assert sorted(key for chunk in chunks for key, _job in chunk) == sorted(
+            key for key, _job in self._misses()
+        )
+        for chunk in chunks:
+            groups = [job_group_key(job) for _key, job in chunk]
+            for group in set(groups):
+                members = [
+                    job for _key, job in chunk if job_group_key(job) == group
+                ]
+                # Every group (5 jobs, below the split cap) is in this chunk
+                # whole and contiguous, most expensive (Flexagon) job first.
+                assert len(members) == len(DESIGN_ORDER) + 1
+                first = groups.index(group)
+                assert groups[first : first + len(members)] == [group] * len(members)
+                assert members[0].design == "Flexagon"
+
+    def test_chunk_count_is_bounded_by_the_worker_count(self):
+        for workers in (1, 2, 3):
+            runner = BatchRunner(parallel=True, max_workers=workers, cache=None)
+            chunks = runner._plan_chunks(self._misses())
+            assert 0 < len(chunks) <= 4 * workers
+
+    def test_chunks_come_heaviest_first_and_the_plan_is_stable(self):
+        from repro.runtime import estimate_job_cost
+
+        runner = BatchRunner(parallel=True, max_workers=2, cache=None)
+        chunks = runner._plan_chunks(self._misses())
+        loads = [sum(estimate_job_cost(job) for _key, job in chunk) for chunk in chunks]
+        assert loads == sorted(loads, reverse=True)
+        again = runner._plan_chunks(self._misses())
+        assert [[key for key, _job in chunk] for chunk in again] == [
+            [key for key, _job in chunk] for chunk in chunks
+        ]
 
 
 class TestStreamingProgress:
@@ -840,12 +910,13 @@ class TestCrashResume:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork workers to inherit the patched executor")
         from repro.runtime import jobs as jobs_module
+        from repro.runtime import reset_shared_pool
 
         # One operand group of four jobs, kept whole as one chunk (cost
         # order: Flexagon, then the fixed designs in insertion order).
         # SpArch — last in the chunk — blows up in the worker after its
-        # chunk-mates finished; the ephemeral pool forks after the patch,
-        # so the worker inherits it.
+        # chunk-mates finished.  Resetting the shared pool after the patch
+        # makes its workers fork with the patch in place.
         jobs = [
             _layer_job(design=design)
             for design in ("Flexagon", "SIGMA-like", "GAMMA-like", "SpArch-like")
@@ -858,14 +929,19 @@ class TestCrashResume:
             return original(job, **kwargs)
 
         monkeypatch.setattr(jobs_module, "execute_job", flaky)
+        reset_shared_pool()
         runner = BatchRunner(
             parallel=True,
             max_workers=2,
             cache=ResultCache(tmp_path),
-            pool_mode="ephemeral",
+            pool_mode="persistent",
         )
-        with pytest.raises(RuntimeError, match="worker crash"):
-            runner.run(jobs)
+        try:
+            with pytest.raises(RuntimeError, match="worker crash"):
+                runner.run(jobs)
+        finally:
+            # Drop the workers that inherited the patch.
+            reset_shared_pool()
         on_disk = ResultCache(tmp_path)
         # GAMMA completed before its chunk-mate SpArch crashed: its result
         # must have been streamed to disk despite the crash.
@@ -873,61 +949,6 @@ class TestCrashResume:
         sparch = next(job for job in jobs if job.design == "SpArch-like")
         assert on_disk.get(gamma.key()) is not MISS
         assert on_disk.get(sparch.key()) is MISS
-
-
-class TestLegacyFlatCache:
-    """Entries written by the pre-shard flat layout stay readable."""
-
-    @staticmethod
-    def _plant_flat_entry(cache, key, value):
-        import pickle
-
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache.legacy_path_for(key).write_bytes(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def test_get_reads_and_migrates_flat_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" * 32
-        self._plant_flat_entry(cache, key, {"cycles": 7.0})
-        assert cache.get(key) == {"cycles": 7.0}
-        # Migrated into its shard; the flat file is gone.
-        assert cache.path_for(key).exists()
-        assert not cache.legacy_path_for(key).exists()
-        assert ResultCache(tmp_path).get(key) == {"cycles": 7.0}
-
-    def test_get_many_spans_both_layouts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        flat_key = "cd" * 32
-        sharded_key = "ef" * 32
-        absent_key = "01" * 32
-        self._plant_flat_entry(cache, flat_key, "flat")
-        cache.put(sharded_key, "sharded")
-        fresh = ResultCache(tmp_path)
-        found = fresh.get_many([flat_key, sharded_key, absent_key])
-        assert found == {flat_key: "flat", sharded_key: "sharded"}
-        assert not fresh.legacy_path_for(flat_key).exists()
-
-    def test_maintenance_covers_flat_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._plant_flat_entry(cache, "12" * 32, "legacy")
-        cache.put("34" * 32, "sharded")
-        assert cache.entry_count() == 2
-        assert cache.size_bytes() > 0
-        report = cache.stats_report()
-        assert report["entries"] == 2
-        assert report["legacy_entries"] == 1
-        assert report["shard_dirs"] >= 1
-        assert cache.clear() == 2
-        assert cache.entry_count() == 0
-
-    def test_prune_evicts_flat_entries_too(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._plant_flat_entry(cache, "56" * 32, "legacy-" + "x" * 100)
-        report = cache.prune(0)
-        assert report.removed_entries == 1
-        assert cache.entry_count() == 0
 
 
 class TestRunnerTelemetry:
@@ -964,37 +985,20 @@ class TestEnvironmentKnobs:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert runner_module._env_workers() == 3
 
+    def test_one_worker_means_a_serial_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        assert not BatchRunner(cache=None).parallel
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert BatchRunner(cache=None).parallel
+        assert not BatchRunner(parallel=False, cache=None).parallel
+
     def test_repr_names_the_width_and_pool(self):
         runner = BatchRunner(
-            parallel=True, max_workers=5, cache=None,
-            pool_mode="persistent", schedule="cost",
+            parallel=True, max_workers=5, cache=None, pool_mode="persistent"
         )
         text = repr(runner)
-        assert "x5" in text and "persistent" in text and "cost" in text
+        assert "x5" in text and "persistent" in text
         assert "serial" in repr(BatchRunner(parallel=False, cache=None))
-
-    def test_schedule_knob_validates(self, monkeypatch):
-        from repro.runtime import runner as runner_module
-
-        monkeypatch.setenv("REPRO_SCHED", "bogus")
-        with pytest.raises(ValueError, match="REPRO_SCHED"):
-            runner_module._env_schedule()
-        monkeypatch.setenv("REPRO_SCHED", "fifo")
-        assert BatchRunner(parallel=False, cache=None).schedule == "fifo"
-
-    def test_fifo_schedule_matches_cost_schedule_results(self, tmp_path):
-        jobs = [
-            _layer_job(design=design, index=index)
-            for index in (0, 1)
-            for design in DESIGN_ORDER
-        ]
-        cost = BatchRunner(parallel=False, cache=ResultCache(tmp_path / "a"))
-        fifo = BatchRunner(
-            parallel=False, cache=ResultCache(tmp_path / "b"), schedule="fifo"
-        )
-        for ours, legacy in zip(cost.run(jobs), fifo.run(jobs)):
-            assert ours.total_cycles == legacy.total_cycles
-            assert ours.stats == legacy.stats
 
 
 class TestEngineResultSharing:
@@ -1012,7 +1016,41 @@ class TestEngineResultSharing:
         # from the cached trial, so no new engine entry appeared.
         assert cache.entry_count() == entries_after_flexagon + 1
 
-    def test_sharing_is_bit_equivalent_to_direct_execution(self, tmp_path, monkeypatch):
+    def test_only_oracle_trials_run_the_engine(self, tmp_path, monkeypatch):
+        """One layer through Flexagon, then the three fixed designs.
+
+        Flexagon's final configured run replays its winning trial and each
+        fixed design replays the trial of its own dataflow, so every
+        ``SpmspmEngine.run_layer`` call of the sweep is an oracle trial.
+        """
+        from repro.accelerators.engine import SpmspmEngine
+        from repro.core.mapper import OracleMapper
+
+        calls = {"trial": 0, "other": 0}
+        selecting = []
+        run_layer = SpmspmEngine.run_layer
+        select = OracleMapper.select
+
+        def counting_run_layer(self, *args, **kwargs):
+            calls["trial" if selecting else "other"] += 1
+            return run_layer(self, *args, **kwargs)
+
+        def tracking_select(self, *args, **kwargs):
+            selecting.append(True)
+            try:
+                return select(self, *args, **kwargs)
+            finally:
+                selecting.pop()
+
+        monkeypatch.setattr(SpmspmEngine, "run_layer", counting_run_layer)
+        monkeypatch.setattr(OracleMapper, "select", tracking_select)
+        runner = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
+        for design in ("Flexagon", "SIGMA-like", "SpArch-like", "GAMMA-like"):
+            runner.run_one(_layer_job(design=design))
+        assert calls["trial"] > 0
+        assert calls["other"] == 0
+
+    def test_sharing_is_bit_equivalent_to_direct_execution(self, tmp_path):
         jobs = [_layer_job(design=design) for design in DESIGN_ORDER]
         direct = BatchRunner(parallel=False, cache=None).run(jobs)
 
@@ -1027,24 +1065,16 @@ class TestEngineResultSharing:
             assert via_cache.str_cache_miss_rate == via_engine.str_cache_miss_rate
             assert via_cache.dram == via_engine.dram
 
-        monkeypatch.setenv("REPRO_SHARE_ENGINE", "0")
-        unshared = BatchRunner(
-            parallel=False, cache=ResultCache(tmp_path / "unshared")
-        ).run(jobs)
-        for via_cache, via_engine in zip(unshared, direct):
-            assert via_cache.cycles == via_engine.cycles
-            assert via_cache.stats == via_engine.stats
-
 
 class TestWarmCacheEndToEnd:
     def test_second_run_executes_zero_jobs(self, tmp_path):
         cold = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        first = run_end_to_end(SETTINGS, runner=cold)
+        first = Session(SETTINGS, runner=cold).end_to_end()
         assert cold.stats.executed > 0
         assert cold.stats.cache_hits == 0
 
         warm = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        second = run_end_to_end(SETTINGS, runner=warm)
+        second = Session(SETTINGS, runner=warm).end_to_end()
         assert warm.stats.executed == 0
         assert warm.stats.cache_misses == 0
         assert warm.stats.cache_hits == warm.stats.submitted > 0
@@ -1052,7 +1082,7 @@ class TestWarmCacheEndToEnd:
 
     def test_parallel_writers_fill_a_shared_cache(self, tmp_path):
         cold = BatchRunner(parallel=True, max_workers=4, cache=ResultCache(tmp_path))
-        run_layerwise_comparison(SETTINGS, runner=cold)
+        Session(SETTINGS, runner=cold).layerwise()
         warm = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        run_layerwise_comparison(SETTINGS, runner=warm)
+        Session(SETTINGS, runner=warm).layerwise()
         assert warm.stats.executed == 0

@@ -181,6 +181,17 @@ class TestRouting:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"Transfer-Encoding" in reply
 
+    def test_oversized_body_gets_its_413_not_a_reset(self, server):
+        """The server drains a rejected body before it closes, so a client
+        still uploading reads the 413 instead of a broken pipe or reset."""
+        oversized = b"x" * (2 << 20)
+        for _ in range(20):
+            status, _headers, body = request(
+                server, "POST", "/v1/sweep", body=oversized
+            )
+            assert status == 413
+            assert json.loads(body)["kind"] == "error"
+
     def test_keep_alive_serves_multiple_requests_per_connection(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=120)
         try:
