@@ -446,6 +446,11 @@ class SpmspmEngine:
         self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
     ) -> None:
         """Model the OP merging phase from the list of partial fiber lengths."""
+        if self.backend == "vectorized":
+            from repro.engine_vec import kernels
+
+            kernels.merge_partial_fibers(self, ctx, psum_rows, psum_lens)
+            return
         cfg = self.config
         if len(psum_rows) == 0:
             return

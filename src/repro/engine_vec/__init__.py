@@ -32,8 +32,9 @@ That holds because nothing is approximated:
   in the reference's iteration order, so the floating-point results are
   identical bit for bit.
 * The **merging-phase model** (partial-fiber merge trees) is computed
-  analytically from fiber lengths, shared verbatim with the reference
-  backend.
+  analytically from fiber lengths: the reference folds each output row
+  pass by pass, the vectorized twin evaluates the same fold in closed form,
+  and the equivalence suite checks the twin against the walk.
 
 Selection
 ---------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine_vec.cache_model import expand_spans, fiber_line_spans, lru_hits
+from repro.sparse.formats import stable_order
 
 #: Expansion budget (elements) for grouped distinct-coordinate counting.
 _UNION_CHUNK_ELEMENTS = 1 << 21
@@ -35,14 +36,14 @@ def ordered_sum(values: np.ndarray, initial: float = 0.0) -> float:
     """Sum ``values`` left to right with scalar float adds.
 
     ``np.sum`` uses pairwise accumulation, which is *not* bit-identical to
-    the reference engine's sequential ``+=`` loop; this helper restores the
-    exact accumulation order (the arrays hold one term per batch/row, so the
-    Python loop is tiny compared to the per-element work it replaces).
+    the reference engine's sequential ``+=`` loop.  ``np.cumsum`` is an
+    accumulation: each partial sum is the previous one plus the next term,
+    one float64 add at a time, so its last entry is exactly that loop's
+    result.
     """
-    total = initial
-    for value in values.tolist():
-        total += value
-    return total
+    if len(values) == 0:
+        return initial
+    return float(np.cumsum(np.concatenate(([initial], values)))[-1])
 
 
 def grouped_union_counts(
@@ -155,12 +156,60 @@ def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.nd
     )
 
 
+def pack_whole_fibers(
+    pointers: np.ndarray, num_multipliers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of :func:`repro.accelerators.engine._pack_whole_fibers`.
+
+    Returns ``(entry_m, entry_s, entry_e, entry_b)``: the packing's
+    ``(major_index, start, end)`` ranges flattened in batch order, plus the
+    batch of each range.  A run of fibers that fit the array fills a batch
+    greedily up to its prefix-sum reach, which stops at the next over-long
+    fiber; an over-long fiber splits into ``ceil(nnz / P)`` single-range
+    batches.  Only the walk from one batch start to the next is Python.
+    """
+    P = num_multipliers
+    pointers = np.asarray(pointers, dtype=np.int64)
+    sizes_all = np.diff(pointers)
+    fibers = np.flatnonzero(sizes_all)
+    n = len(fibers)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    sizes = sizes_all[fibers]
+    long = sizes > P
+    prefix = np.concatenate(([0], np.cumsum(sizes)))
+    reach = np.searchsorted(prefix, prefix[:-1] + P, side="right") - 1
+    # Index of the first over-long fiber at or after each position.
+    long_at = np.flatnonzero(long)
+    next_long = np.append(long_at, n)[np.searchsorted(long_at, np.arange(n))]
+    reach = np.where(long, np.arange(1, n + 1), np.minimum(reach, next_long))
+
+    is_start = np.zeros(n, dtype=bool)
+    reach_list = reach.tolist()
+    i = 0
+    while i < n:
+        is_start[i] = True
+        i = reach_list[i]
+
+    chunks = np.where(long, (sizes + P - 1) // P, 1)
+    entry_m = np.repeat(fibers, chunks)
+    chunk_of = np.arange(len(entry_m), dtype=np.int64) - np.repeat(
+        np.cumsum(chunks) - chunks, chunks
+    )
+    entry_s = pointers[entry_m] + chunk_of * P
+    entry_e = np.minimum(entry_s + P, pointers[entry_m + 1])
+    opens_batch = np.repeat(long | is_start, chunks)
+    entry_b = np.cumsum(opens_batch) - 1
+    return entry_m, entry_s, entry_e, entry_b
+
+
 # ----------------------------------------------------------------------
 # Inner Product
 # ----------------------------------------------------------------------
 def run_inner_product(engine, ctx) -> None:
     """Vectorized twin of :meth:`SpmspmEngine._run_inner_product`."""
-    from repro.accelerators.engine import _lines_for, _pack_whole_fibers
+    from repro.accelerators.engine import _lines_for
 
     cfg = engine.config
     a_csr = ctx.a_csr
@@ -171,26 +220,13 @@ def run_inner_product(engine, ctx) -> None:
     streaming_lines = _lines_for(snnz, ctx)
     fits_in_cache = snnz * eb <= cfg.str_cache_bytes
 
-    batches = _pack_whole_fibers(a_csr, cfg.num_multipliers)
-    nb = len(batches)
+    entry_m, entry_s, entry_e, entry_b = pack_whole_fibers(
+        a_csr.pointers, cfg.num_multipliers
+    )
     ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
-    if nb == 0:
+    if len(entry_b) == 0:
         return
-
-    # Flatten the greedy packing into per-entry arrays.
-    entry_m = np.array(
-        [m for batch in batches for (m, _, _) in batch], dtype=np.int64
-    )
-    entry_s = np.array(
-        [s for batch in batches for (_, s, _) in batch], dtype=np.int64
-    )
-    entry_e = np.array(
-        [e for batch in batches for (_, _, e) in batch], dtype=np.int64
-    )
-    entry_b = np.repeat(
-        np.arange(nb, dtype=np.int64),
-        np.array([len(batch) for batch in batches], dtype=np.int64),
-    )
+    nb = int(entry_b[-1]) + 1
 
     # Effectual multiplications per entry via a prefix sum over the element
     # positions of A (every stored (m, k) meets nnz(B[k, :]) streamed elems).
@@ -202,13 +238,13 @@ def run_inner_product(engine, ctx) -> None:
     completes = entry_e == a_csr.pointers[entry_m + 1]
     out_entry = np.where(completes, ctx.c_row_nnz[entry_m], 0)
 
-    sta_b = np.zeros(nb, dtype=np.int64)
-    np.add.at(sta_b, entry_b, sta_entry)
-    mults_b = np.zeros(nb, dtype=np.int64)
-    np.add.at(mults_b, entry_b, mults_entry)
-    out_b = np.zeros(nb, dtype=np.int64)
-    np.add.at(out_b, entry_b, out_entry)
-    rows_b = np.bincount(entry_b, minlength=nb)
+    # Entries are batch-contiguous, so per-batch totals are segment sums.
+    batch_first = np.flatnonzero(
+        np.concatenate(([True], entry_b[1:] != entry_b[:-1]))
+    )
+    sta_b = np.add.reduceat(sta_entry, batch_first)
+    mults_b = np.add.reduceat(mults_entry, batch_first)
+    out_b = np.add.reduceat(out_entry, batch_first)
 
     # Closed-form cache behaviour: compulsory misses on the first pass, then
     # all hits iff the streaming matrix fits, full thrashing otherwise.
@@ -240,7 +276,7 @@ def run_inner_product(engine, ctx) -> None:
 
     ctx.stats.multiplications += int(mults_b.sum())
     ctx.stats.additions += int(np.maximum(0, mults_b - out_b).sum())
-    ctx.stats.intersection_probes += snnz * int(rows_b.sum())
+    ctx.stats.intersection_probes += snnz * len(entry_b)
 
     out_bytes_b = out_b * eb
     _flush_dram(
@@ -342,10 +378,94 @@ def run_outer_product(engine, ctx) -> None:
             np.maximum(compute_b, miss_bytes_b / bpc) + 1, ctx.cycles.streaming
         )
 
-    # The merging-phase model is analytic already and shared verbatim with
-    # the reference backend, which guarantees the merge cycles/traffic match.
+    # The engine method dispatches to :func:`merge_partial_fibers`, the
+    # closed-form twin of the reference walk (checked against it by the
+    # equivalence suite).
     engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
     ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
+
+
+def _merge_terms(
+    rows: np.ndarray, lens: np.ndarray, out_row_nnz: np.ndarray, leaves: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pass ``(inputs, carried)`` of the merge fold, in (row, pass) order.
+
+    ``rows``/``lens`` list the non-empty partial fibers in storage order;
+    a stable row order keeps each row's fibers in the order the walk folds
+    them.  ``carried`` is the previous pass's merge that a pass re-reads
+    (zero for a row's first pass).
+    """
+    order = stable_order(rows, len(out_row_nnz))
+    rows = rows[order]
+    prefix = np.concatenate(([0], np.cumsum(lens[order])))
+    row_first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    counts = np.diff(np.append(row_first, len(rows)))
+    out_len = out_row_nnz[rows[row_first]]
+
+    extra = np.maximum(counts - leaves, 0)
+    passes = 1 + (extra + leaves - 2) // (leaves - 1)
+    term_row = np.repeat(np.arange(len(counts), dtype=np.int64), passes)
+    term_pass = np.arange(len(term_row), dtype=np.int64) - np.repeat(
+        np.cumsum(passes) - passes, passes
+    )
+    count = counts[term_row]
+    base = row_first[term_row]
+    upto = np.minimum(leaves + term_pass * (leaves - 1), count)
+    before = np.where(
+        term_pass > 0, np.minimum(leaves + (term_pass - 1) * (leaves - 1), count), 0
+    )
+    s_upto = prefix[base + upto] - prefix[base]
+    s_before = prefix[base + before] - prefix[base]
+    carried = np.where(term_pass > 0, np.minimum(s_before, out_len[term_row]), 0)
+    return carried + s_upto - s_before, carried
+
+
+def merge_partial_fibers(engine, ctx, psum_rows: np.ndarray, psum_lens: np.ndarray) -> None:
+    """Vectorized twin of :meth:`SpmspmEngine._merge_partial_fibers`.
+
+    The reference folds each output row's pending list of partial fibers
+    pass by pass.  With ``count`` non-empty fibers, their prefix sums ``S``
+    (in row order), the output row length ``L`` and ``leaves = max(2, P)``,
+    pass ``j`` consumes fibers up to ``c_j = min(leaves + (j-1)(leaves-1),
+    count)`` and re-reads the previous pass's merge, whose length is exactly
+    ``min(S[c_{j-1}], L)`` (the first pass carries nothing).  Every pass of
+    every row is one array term here; the cycle terms are summed in
+    (row, pass) order, as the walk adds them.
+    """
+    cfg = engine.config
+    if len(psum_rows) == 0:
+        return
+    eb = ctx.element_bytes
+    leaves = max(2, cfg.num_multipliers)
+    total_blocks_needed = int(
+        np.ceil(psum_lens / max(1, cfg.psram_elements_per_block)).sum()
+    )
+
+    # Only non-empty partial fibers enter a merge.
+    nonempty = psum_lens > 0
+    merge_cycles = 0.0
+    if np.any(nonempty):
+        inputs, carried = _merge_terms(
+            psum_rows[nonempty], psum_lens[nonempty], ctx.c_row_nnz, leaves
+        )
+        total_writes = int(carried.sum())
+        ctx.stats.psum_writes += total_writes
+        ctx.traffic.psum_bytes += total_writes * eb
+        ctx.stats.merge_passes += len(inputs)
+        total_merge_inputs = int(inputs.sum())
+        ctx.stats.psum_reads += total_merge_inputs
+        ctx.traffic.psum_bytes += total_merge_inputs * eb
+        merge_cycles = ordered_sum(inputs / cfg.reduction_bandwidth + ctx.tree_depth)
+
+    # PSRAM occupancy: all partial fibers of the layer coexist before the
+    # merging phase starts; anything beyond the PSRAM capacity spills.
+    spill_bytes = max(0, total_blocks_needed - cfg.psram_blocks) * cfg.psram_block_bytes
+    if spill_bytes:
+        ctx.dram.spill_psums(spill_bytes)
+    output_bytes = int(ctx.c_row_nnz.sum()) * eb
+    ctx.dram.write_output(output_bytes)
+    dram_cycles = (2 * spill_bytes + output_bytes) / ctx.dram.bytes_per_cycle
+    ctx.cycles.merging += max(merge_cycles, dram_cycles)
 
 
 # ----------------------------------------------------------------------

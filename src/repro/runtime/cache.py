@@ -227,8 +227,13 @@ class ResultCache:
         """
         self._remember(key, blob)
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        # The shard directory almost always exists already: create it only
+        # when the temporary file cannot be, then retry once.
+        try:
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)

@@ -433,35 +433,84 @@ def matrix_from_arrays(
     major = rows if layout.major_is_row else cols
     minor = cols if layout.major_is_row else rows
     major_dim = nrows if layout.major_is_row else ncols
+    minor_dim = ncols if layout.major_is_row else nrows
 
     if len(values) == 0:
         return empty_matrix(nrows, ncols, layout)
 
-    order = np.lexsort((minor, major))
-    major, minor, values = major[order], minor[order], values[order]
+    # LSD order, minor key first and then major: both passes are stable, so
+    # the permutation is the one ``np.lexsort((minor, major))`` produces
+    # (duplicates keep their input order, which fixes their summation
+    # order).  A pass whose keys are already in order is the identity and is
+    # skipped, so a layout conversion costs a single radix pass.  The two
+    # passes compose into one permutation, and the sorted major keys are
+    # rebuilt from their counts rather than gathered.
+    counts = np.bincount(major, minlength=major_dim)
+    order = None
+    if not _non_decreasing(minor):
+        order = stable_order(minor, minor_dim)
+    keys = major if order is None else major[order]
+    if not _non_decreasing(keys):
+        by_major = stable_order(keys, major_dim)
+        order = by_major if order is None else order[by_major]
+    if order is None:
+        # Already canonical order: copy, so the matrix never aliases the
+        # caller's (possibly writable) arrays.
+        minor, values = minor.copy(), values.copy()
+    else:
+        minor, values = minor[order], values[order]
+        major = np.repeat(np.arange(major_dim, dtype=np.int64), counts)
 
     # Accumulate duplicates: group boundaries where (major, minor) changes.
     new_group = np.empty(len(major), dtype=bool)
     new_group[0] = True
     new_group[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    group_starts = np.flatnonzero(new_group)
-    group_ids = np.cumsum(new_group) - 1
-    summed = np.zeros(len(group_starts), dtype=np.float64)
-    np.add.at(summed, group_ids, values)
-    major = major[group_starts]
-    minor = minor[group_starts]
+    if new_group.all():
+        summed = values
+    else:
+        group_starts = np.flatnonzero(new_group)
+        group_ids = np.cumsum(new_group) - 1
+        summed = np.zeros(len(group_starts), dtype=np.float64)
+        np.add.at(summed, group_ids, values)
+        major = major[group_starts]
+        minor = minor[group_starts]
 
     keep = summed != 0.0
-    major, minor, summed = major[keep], minor[keep], summed[keep]
+    if not keep.all():
+        major, minor, summed = major[keep], minor[keep], summed[keep]
+    if len(summed) != len(values):
+        counts = np.bincount(major, minlength=major_dim)
 
-    counts = np.bincount(major, minlength=major_dim)
     pointers = np.zeros(major_dim + 1, dtype=np.int64)
     np.cumsum(counts, out=pointers[1:])
-    # The lexsort + dedup above produce canonical storage (in-range, grouped,
-    # strictly increasing within fibers), so re-validation is redundant.
+    # The ordering + dedup above produce canonical storage (in-range,
+    # grouped, strictly increasing within fibers), so re-validation is
+    # redundant.
     return CompressedMatrix(
         nrows, ncols, layout, pointers, minor, summed, validate=False
     )
+
+
+def _non_decreasing(keys: np.ndarray) -> bool:
+    return bool(np.all(keys[1:] >= keys[:-1]))
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys``, all smaller than ``bound``.
+
+    Equal to ``np.argsort(keys, kind="stable")``, but keys that fit 16 bits
+    sort as ``uint16``, for which NumPy's stable sort is a radix sort; keys
+    below ``2**32`` take two such passes (low half-word, then high).  Wider
+    keys fall back to the comparison sort.
+    """
+    keys = np.asarray(keys)
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound <= 1 << 32:
+        order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (keys[order] >> 16).astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")
 
 
 def matrix_from_fibers(

@@ -18,8 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.accelerators.engine import SpmspmEngine
+from repro.accelerators.engine import SpmspmEngine, _pack_whole_fibers
 from repro.arch.config import default_config
 from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow
@@ -27,7 +29,7 @@ from repro.engine_vec import ENGINE_BACKENDS, resolve_engine_backend
 from repro.engine_vec.cache_model import lru_hits
 from repro.engine_vec import kernels
 from repro.runtime import BatchRunner, ResultCache, SimJob
-from repro.sparse.formats import Layout, csr_from_dense
+from repro.sparse.formats import CompressedMatrix, Layout, csr_from_dense
 from repro.sparse.generate import SparsityPattern, random_sparse
 from repro.sparse.reference import spgemm_reference
 
@@ -53,6 +55,22 @@ CONFIGS = [
         psram_bytes=4096,
         psram_block_bytes=64,
     ),
+    # One- and two-multiplier datapaths: the merge tree has two leaves, so
+    # every output row with three or more partial fibers folds in several
+    # passes, and nearly every stationary fiber is longer than the array.
+    default_config(
+        num_multipliers=1,
+        distribution_bandwidth=1,
+        reduction_bandwidth=1,
+        str_cache_bytes=4096,  # 32 lines, 16-way => two sets
+        psram_bytes=1024,
+    ),
+    default_config(
+        num_multipliers=2,
+        distribution_bandwidth=2,
+        reduction_bandwidth=2,
+        psram_bytes=2048,
+    ),
 ]
 
 #: (m, k, n, density_a, density_b, pattern, seed) grid; chosen to cover
@@ -67,6 +85,8 @@ LAYER_CASES = [
     (30, 200, 20, 0.25, 0.25, SparsityPattern.UNIFORM, 5),
     (128, 32, 96, 0.06, 0.6, SparsityPattern.BLOCK, 6),
     (80, 80, 80, 0.45, 0.45, SparsityPattern.UNIFORM, 7),
+    # Mostly empty rows of B: many partial fibers have zero length.
+    (24, 40, 32, 0.35, 0.04, SparsityPattern.UNIFORM, 8),
 ]
 
 
@@ -100,6 +120,14 @@ def test_backends_bit_equal_across_dataflows_and_geometries(case):
             _assert_results_equal(r, v, (dataflow, config.num_multipliers))
 
 
+def test_layer_cases_include_zero_length_partial_fibers():
+    """Some A non-zero meets an empty row of B (a zero-length partial fiber)."""
+    a, b = _make_pair(LAYER_CASES[-1])
+    b_row_nnz = np.diff(b.with_layout(Layout.CSR).pointers)
+    assert np.any(b_row_nnz[a.indices] == 0)
+    assert np.any(b_row_nnz[a.indices] > 0)
+
+
 def test_backends_equal_output_matrix_and_reference_numerics():
     a, b = _make_pair(LAYER_CASES[3])
     golden = spgemm_reference(a, b)
@@ -126,6 +154,81 @@ def test_vectorized_handles_empty_operands():
         v = SpmspmEngine(CONFIGS[0], backend="vectorized").run_layer(dataflow, a, b)
         _assert_results_equal(r, v, dataflow)
         assert v.total_cycles == r.total_cycles
+
+
+# ----------------------------------------------------------------------
+# The array twins of the packing and merge helpers
+# ----------------------------------------------------------------------
+def _matrix_with_fiber_sizes(sizes):
+    """A CSR matrix whose rows hold ``sizes`` elements each."""
+    pointers = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    indices = np.concatenate([np.arange(n) for n in sizes] + [np.zeros(0, np.int64)])
+    return CompressedMatrix(
+        len(sizes), max(sizes, default=0) + 1, Layout.CSR,
+        pointers, indices, np.ones(len(indices)),
+    )
+
+
+@given(
+    sizes=st.lists(st.integers(0, 12), max_size=40),
+    num_multipliers=st.integers(1, 8),
+)
+@example(sizes=[0, 3, 0, 1, 1, 5, 0], num_multipliers=1)
+@example(sizes=[2, 2, 9, 0, 1, 4, 4, 17], num_multipliers=4)
+@settings(max_examples=200, deadline=None)
+def test_array_packing_matches_reference_packing(sizes, num_multipliers):
+    matrix = _matrix_with_fiber_sizes(sizes)
+    batches = _pack_whole_fibers(matrix, num_multipliers)
+    entry_m, entry_s, entry_e, entry_b = kernels.pack_whole_fibers(
+        matrix.pointers, num_multipliers
+    )
+    flat = [
+        (m, s, e, b) for b, batch in enumerate(batches) for (m, s, e) in batch
+    ]
+    assert list(zip(entry_m.tolist(), entry_s.tolist(), entry_e.tolist(),
+                    entry_b.tolist())) == flat
+
+
+@given(
+    num_multipliers=st.sampled_from([1, 2, 3, 8]),
+    fibers=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9)), max_size=60),
+    out_lens=st.lists(st.integers(0, 40), min_size=6, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_merge_twin_matches_reference_walk(num_multipliers, fibers, out_lens):
+    """The closed-form merge model against the pending-list walk, directly."""
+    config = default_config(
+        num_multipliers=num_multipliers, psram_bytes=256, psram_block_bytes=32
+    )
+    a = random_sparse(6, 4, 0.5, seed=1)
+    b = random_sparse(4, 5, 0.5, seed=2)
+    rows = np.array([r for r, _ in fibers], dtype=np.int64)
+    lens = np.array([n for _, n in fibers], dtype=np.int64)
+    contexts = {}
+    for backend in ENGINE_BACKENDS:
+        engine = SpmspmEngine(config, backend=backend)
+        ctx = engine._build_context(Dataflow.OP_M, a, b)
+        ctx.c_row_nnz = np.array(out_lens, dtype=np.int64)
+        engine._merge_partial_fibers(ctx, rows, lens)
+        contexts[backend] = ctx
+    vectorized, reference = contexts["vectorized"], contexts["reference"]
+    assert vectorized.stats == reference.stats
+    assert vectorized.traffic == reference.traffic
+    assert vectorized.cycles == reference.cycles
+    assert vectorized.dram.traffic == reference.dram.traffic
+
+
+@given(
+    st.lists(st.floats(-1e12, 1e12, allow_nan=False), max_size=50),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+@example([1e16, 1.0, -1e16, 1.0], 0.0)
+@settings(max_examples=100, deadline=None)
+def test_ordered_sum_is_the_sequential_loop(values, initial):
+    total = initial
+    for value in values:
+        total += value
+    assert kernels.ordered_sum(np.array(values, dtype=np.float64), initial) == total
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import (
@@ -17,7 +17,12 @@ from repro.sparse import (
 )
 from repro.sparse.convert import convert_with_cost, explicit_conversion_cost, transpose
 from repro.sparse.fiber import Fiber
-from repro.sparse.formats import ELEMENT_BYTES, POINTER_BYTES
+from repro.sparse.formats import (
+    ELEMENT_BYTES,
+    POINTER_BYTES,
+    matrix_from_arrays,
+    stable_order,
+)
 
 
 def dense_strategy(max_dim=12):
@@ -103,6 +108,106 @@ class TestDenseRoundtrip:
         assert csc.layout is Layout.CSC
         assert np.allclose(csc.to_dense(), dense)
         assert csc.nnz == csr.nnz
+
+
+#: Extents straddling the 16-bit radix boundary of ``stable_order``.
+_MAJOR_DIMS = (1, 3, 2**16 - 1, 2**16, 2**16 + 1)
+#: Minor extents also straddle the 32-bit one, reaching the comparison-sort
+#: fallback (minor extents never allocate, so they can be this large).
+_MINOR_DIMS = _MAJOR_DIMS + (2**32 - 1, 2**32, 2**32 + 1, 2**40)
+#: Exact cancellations (1 + -1), signed zeros, ordinary values and
+#: magnitudes whose sum depends on the order duplicates are added in.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, 1e16, -1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False, width=64),
+)
+
+
+def _coordinate(dim):
+    """Coordinates near both ends of ``[0, dim)`` as well as anywhere in it."""
+    return st.one_of(
+        st.integers(0, min(dim, 4) - 1),
+        st.integers(max(0, dim - 4), dim - 1),
+        st.integers(0, dim - 1),
+    )
+
+
+@st.composite
+def coo_arrays(draw):
+    """``(nrows, ncols, layout, triples)`` with many repeated coordinates."""
+    layout = draw(st.sampled_from(list(Layout)))
+    major_dim = draw(st.sampled_from(_MAJOR_DIMS))
+    minor_dim = draw(st.sampled_from(_MINOR_DIMS))
+    nrows, ncols = (
+        (major_dim, minor_dim) if layout is Layout.CSR else (minor_dim, major_dim)
+    )
+    pool = draw(
+        st.lists(st.tuples(_coordinate(nrows), _coordinate(ncols)), min_size=1, max_size=12)
+    )
+    triples = draw(
+        st.lists(st.tuples(st.sampled_from(pool), _VALUES), max_size=60)
+    )
+    return nrows, ncols, layout, [(r, c, v) for (r, c), v in triples]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestMatrixFromArrays:
+    """The vectorised builder against the dict-based ``matrix_from_coo``."""
+
+    @given(coo_arrays())
+    @example(
+        # One cell summed in input order: (1e16 + 1) - 1e16 == 0 is dropped,
+        # while an unstable order reaching 1e16 - 1e16 first would keep 1.0.
+        (1, 2**40, Layout.CSR, [(0, 0, 1e16), (0, 0, 0.0), (0, 0, 0.0),
+                                (0, 1, 3.0), (0, 0, 0.0), (0, 0, 1.0), (0, 0, -1e16)])
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_coo_oracle_bit_for_bit(self, case):
+        nrows, ncols, layout, triples = case
+        rows = np.array([r for r, _, _ in triples], dtype=np.int64)
+        cols = np.array([c for _, c, _ in triples], dtype=np.int64)
+        values = np.array([v for _, _, v in triples], dtype=np.float64)
+        built = matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
+        oracle = matrix_from_coo(nrows, ncols, triples, layout=layout)
+        assert built.layout is oracle.layout and built.shape == oracle.shape
+        assert np.array_equal(built.pointers, oracle.pointers)
+        assert np.array_equal(built.indices, oracle.indices)
+        assert np.array_equal(_bits(built.values), _bits(oracle.values))
+
+    def test_duplicates_sum_in_input_order_and_cancellations_drop(self):
+        rows = np.array([1, 0, 1, 0, 1])
+        cols = np.array([2, 0, 2, 0, 0])
+        values = np.array([1e16, 2.0, 1.0, -2.0, -0.0])
+        m = matrix_from_arrays(2, 3, rows, cols, values)
+        # (1e16 + 1.0) rounds back to 1e16; (2 + -2) and -0.0 are dropped.
+        assert m.pointers.tolist() == [0, 0, 1]
+        assert m.indices.tolist() == [2]
+        assert m.values.tolist() == [1e16]
+
+    def test_never_aliases_the_callers_arrays(self):
+        rows = np.array([0, 1, 2])
+        cols = np.array([0, 1, 2])
+        values = np.array([1.0, 2.0, 3.0])
+        m = matrix_from_arrays(3, 3, rows, cols, values)
+        cols[0] = 2
+        values[0] = 9.0
+        assert m.indices.tolist() == [0, 1, 2]
+        assert m.values.tolist() == [1.0, 2.0, 3.0]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stable_order_matches_stable_argsort(self, data):
+        bound = data.draw(
+            st.sampled_from([1, 2, 255, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**40])
+        )
+        pool = data.draw(st.lists(_coordinate(bound), min_size=1, max_size=10))
+        keys = np.array(
+            data.draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64
+        )
+        assert np.array_equal(stable_order(keys, bound), np.argsort(keys, kind="stable"))
 
 
 class TestFiberAccess:

@@ -185,6 +185,20 @@ class TestResultCache:
         assert cache.entry_count() == 0
         assert not stranded.exists()
 
+    def test_put_recreates_a_shard_removed_under_a_live_cache(self, tmp_path):
+        import shutil
+
+        cache = ResultCache(tmp_path / "cache")
+        key = "9a" * 32
+        cache.put(key, 1)
+        shutil.rmtree(cache.path_for(key).parent)
+        cache.put(key, 2)
+        assert cache.path_for(key).is_file()
+        assert ResultCache(tmp_path / "cache").get(key) == 2
+        shutil.rmtree(tmp_path / "cache")
+        cache.put("9b" * 32, 3)
+        assert ResultCache(tmp_path / "cache").get("9b" * 32) == 3
+
     def test_memory_level_is_bounded(self, tmp_path, monkeypatch):
         from repro.runtime import cache as cache_module
 
