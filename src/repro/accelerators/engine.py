@@ -185,11 +185,13 @@ class SpmspmEngine:
 
         # Per-row nnz of B (indexed by K) and per-row nnz of C, computed from
         # CSR views of the original operands.  These drive multiplication
-        # counts and output traffic for every dataflow.
+        # counts and output traffic for every dataflow.  The output counts are
+        # keyed by the operands as given, so a mirrored N-stationary run
+        # (``b.T x a.T``) reads the column counts of the M-stationary pass.
         a_csr = a.with_layout(Layout.CSR)
-        b_csr = b if b.layout is Layout.CSR else b.with_layout(Layout.CSR)
+        b_csr = b.with_layout(Layout.CSR)
         b_row_nnz = np.diff(b_csr.pointers)
-        c_row_nnz = output_row_nnz(a_csr, b_csr)
+        c_row_nnz = output_row_nnz(a, b)
 
         # The streaming fiber nnz must be expressed in the streaming view's
         # own major axis (columns of B for IP, rows of B for OP/Gust).
@@ -575,21 +577,40 @@ def _pack_whole_fibers(
     return batches
 
 
-def output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndarray:
-    """Memoized :func:`_output_row_nnz` (per live operand-pair instance).
+def output_row_nnz(a: CompressedMatrix, b: CompressedMatrix) -> np.ndarray:
+    """nnz of every output row of C = a x b (any operand layouts).
 
     The oracle mapper simulates the same operand pair under up to six
     dataflows (plus the final run), and the design grid shares materialized
-    operands between jobs, so the structure-only output pass is the hottest
-    redundant work of a sweep.
+    operands between jobs, so the structure-only output pass runs once per
+    live operand pair (:func:`output_nnz`).  That pass also yields C's
+    column counts, which are the row counts of the mirrored product
+    ``b.T x a.T`` an N-stationary dataflow runs.
     """
-    return cached_derived(
-        "output_row_nnz", lambda: _output_row_nnz(a_csr, b_csr), a_csr, b_csr
-    )
+    return output_nnz(a, b)[0]
 
 
-def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndarray:
-    """nnz of every output row of C = A x B (structure-only Gustavson pass).
+def output_nnz(a: CompressedMatrix, b: CompressedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(row nnz, column nnz)`` of C = a x b, memoized per live operand pair.
+
+    When both operands are :meth:`~CompressedMatrix.transposed` views of
+    live matrices, ``a x b = (b_base x a_base).T``: the pair shares the base
+    pair's entry with the two counts swapped, so an N-stationary trial
+    reuses the structure pass of the M-stationary trials (and vice versa).
+    The pass runs over the CSR views of the operands as given, which the
+    caller's engine context needs anyway.
+    """
+    a_base, b_base = a.transpose_base(), b.transpose_base()
+    if a_base is not None and b_base is not None:
+        cols, rows = cached_derived(
+            "output_nnz", lambda: _output_nnz(a, b)[::-1], b_base, a_base
+        )
+        return rows, cols
+    return cached_derived("output_nnz", lambda: _output_nnz(a, b), a, b)
+
+
+def _output_nnz(a: CompressedMatrix, b: CompressedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column nnz of C = a x b (one structure-only Gustavson pass).
 
     Computed with one grouped distinct-coordinate count over the CSR index
     arrays (rows of A are the groups) instead of a per-row Python union —
@@ -597,20 +618,23 @@ def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndar
     """
     from repro.engine_vec.kernels import grouped_union_counts
 
-    a_indices = np.asarray(a_csr.indices, dtype=np.int64)
-    if len(a_indices) == 0:
-        return np.zeros(a_csr.nrows, dtype=np.int64)
+    a_csr = a.with_layout(Layout.CSR)
+    b_csr = b.with_layout(Layout.CSR)
     rows_of = np.repeat(
         np.arange(a_csr.nrows, dtype=np.int64), np.diff(a_csr.pointers)
     )
-    return grouped_union_counts(
+    rows, cols = grouped_union_counts(
         np.asarray(b_csr.indices, dtype=np.int64),
         np.asarray(b_csr.pointers, dtype=np.int64),
-        a_indices,
+        np.asarray(a_csr.indices, dtype=np.int64),
         rows_of,
         a_csr.nrows,
         b_csr.minor_dim,
+        with_minor_counts=True,
     )
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _union_length(

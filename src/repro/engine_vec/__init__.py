@@ -36,6 +36,32 @@ That holds because nothing is approximated:
   pass by pass, the vectorized twin evaluates the same fold in closed form,
   and the equivalence suite checks the twin against the walk.
 
+Shared structure
+----------------
+Much of a trial's work depends only on the operands and a few geometry
+fields, not on the dataflow or the rest of the design point.  The backend
+computes each such piece once per live operand pair and reuses it across
+dataflows, design points and mirrored trials, through the per-instance memo
+of :func:`repro.sparse.formats.cached_derived` (entries die with their
+operands):
+
+* the per-touch **streaming-cache misses** of an Outer-Product or Gustavson
+  trace, per (stationary view, streaming view) pair, keyed by the trace kind
+  (plus P for Outer Product, whose batch boundaries re-touch fibers) and the
+  cache geometry (sets, ways, line bytes, element bytes); the cache
+  counters are credited from the memoized array on every run;
+* the **Gustavson chunk unions**, per (A CSR, B CSR) pair and P;
+* C's **row and column counts**, from one structure-only pass per operand
+  pair; the mirrored run of an N-stationary dataflow (``b.T x a.T``) reads
+  the column counts;
+* **layout views**: a transposed view converts through its base, so the
+  mirrored trials reuse the M-stationary trials' conversions.
+
+Every memoized value is a function of its key, so results stay
+bit-identical and job keys do not change.  The LRU model itself skips
+accesses that repeat the line just touched (in program order and per set):
+they are MRU hits that leave the LRU state unchanged.
+
 Selection
 ---------
 The backend is chosen via ``ExperimentSettings.engine``, the

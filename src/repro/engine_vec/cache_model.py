@@ -27,6 +27,12 @@ segmented ``searchsorted``.  The whole trace therefore costs
 ``O(n log^2 n)`` NumPy work with no per-access Python, and the result is
 *identical* to replaying the trace through ``StreamingCache``
 (``tests/test_engine_equivalence.py`` cross-checks random traces).
+
+Before any sort, an access to the same line as its predecessor — in program
+order, then again in set-major order — is resolved as a hit and dropped: the
+line is its set's most recently used, so the access changes no LRU state
+and no other access's reuse window gains a distinct line.  Fiber-span
+traces repeat the previous line often (adjacent short fibers share lines).
 """
 
 from __future__ import annotations
@@ -89,14 +95,35 @@ def lru_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray
     if n == 0:
         return np.zeros(0, dtype=bool)
     lines = np.asarray(lines, dtype=np.int64)
+    # An access to the line its predecessor touched finds that line most
+    # recently used: it hits and leaves every set's LRU state unchanged, so
+    # only the other accesses need the model.  Dropping repeats first
+    # shrinks every sort below.
+    hits = np.ones(n, dtype=bool)
+    fresh = _differs_from_previous(lines)
+    lines = lines[fresh]
     # Set-major, time-stable arrangement: accesses of one set are contiguous
     # and in program order.  LRU state is per set, so accesses to different
     # sets commute and this reordering preserves every hit/miss outcome.
     order = stable_order(lines % num_sets, num_sets)
     trace = lines[order]
-    hits = np.empty(n, dtype=bool)
-    hits[order] = _hits_setmajor(trace, num_sets, associativity)
+    # The same holds for an access whose set-major predecessor is its own
+    # line: no access to its set came in between.
+    set_fresh = _differs_from_previous(trace)
+    setmajor_hits = np.ones(len(trace), dtype=bool)
+    setmajor_hits[set_fresh] = _hits_setmajor(trace[set_fresh], num_sets, associativity)
+    fresh_hits = np.empty(len(trace), dtype=bool)
+    fresh_hits[order] = setmajor_hits
+    hits[fresh] = fresh_hits
     return hits
+
+
+def _differs_from_previous(values: np.ndarray) -> np.ndarray:
+    """``values[i] != values[i - 1]`` per position (``True`` at position 0)."""
+    differs = np.empty(len(values), dtype=bool)
+    differs[:1] = True
+    np.not_equal(values[1:], values[:-1], out=differs[1:])
+    return differs
 
 
 def _hits_setmajor(trace: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:

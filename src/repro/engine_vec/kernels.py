@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arch.controllers.streaming import StreamingTileReader
+from repro.arch.memory.cache import StreamingCache
 from repro.engine_vec.cache_model import expand_spans, fiber_line_spans, lru_hits
-from repro.sparse.formats import stable_order
+from repro.sparse.formats import cached_derived, stable_order
 
 #: Expansion budget (elements) for grouped distinct-coordinate counting.
 _UNION_CHUNK_ELEMENTS = 1 << 21
@@ -53,7 +55,9 @@ def grouped_union_counts(
     groups: np.ndarray,
     num_groups: int,
     minor_dim: int,
-) -> np.ndarray:
+    *,
+    with_minor_counts: bool = False,
+):
     """Distinct minor coordinates of ``union(B[k, :] for k in group)`` per group.
 
     ``ks`` lists B fibers in group-major order (``groups`` must be
@@ -63,11 +67,16 @@ def grouped_union_counts(
     (selector-matrix x B); otherwise fiber coordinate slices are expanded in
     bounded-size batches of whole groups, so peak memory stays bounded even
     for large products.  Both paths produce the same exact integers.
+
+    With ``with_minor_counts`` the same pass also returns, per minor
+    coordinate, the number of groups whose union holds it (the column
+    counts of the product): ``(group_counts, minor_counts)``.
     """
     out = np.zeros(num_groups, dtype=np.int64)
+    minor_out = np.zeros(minor_dim, dtype=np.int64)
     nk = len(ks)
     if nk == 0 or minor_dim == 0:
-        return out
+        return (out, minor_out) if with_minor_counts else out
     ks = np.asarray(ks, dtype=np.int64)
     groups = np.asarray(groups, dtype=np.int64)
     if _scipy_sparse is not None:
@@ -82,8 +91,13 @@ def grouped_union_counts(
         )
         # The product's sparsity structure is the per-group union of B fibers
         # (scipy's symbolic pass; explicit zeros are never produced since all
-        # inputs are positive), so indptr differences are the distinct counts.
-        return np.diff((selector @ b_struct).indptr).astype(np.int64)
+        # inputs are positive), so indptr differences are the distinct counts
+        # and the stored column indices count the groups per coordinate.
+        product = selector @ b_struct
+        out = np.diff(product.indptr).astype(np.int64)
+        if not with_minor_counts:
+            return out
+        return out, np.bincount(product.indices, minlength=minor_dim).astype(np.int64)
     counts = b_pointers[ks + 1] - b_pointers[ks]
     # Slice boundaries in ``ks`` space: never split a group across slices
     # (a coordinate present on both sides would be counted twice).
@@ -107,8 +121,12 @@ def grouped_union_counts(
             keys = sl_groups[of] * np.int64(minor_dim) + coords
             unique_keys = np.unique(keys)
             out += np.bincount(unique_keys // np.int64(minor_dim), minlength=num_groups)
+            if with_minor_counts:
+                minor_out += np.bincount(
+                    unique_keys % np.int64(minor_dim), minlength=minor_dim
+                )
         start_group = end_group
-    return out
+    return (out, minor_out) if with_minor_counts else out
 
 
 def _flush_dram(counter, field: str, total: int, requests: int) -> None:
@@ -127,14 +145,49 @@ def _flush_dram(counter, field: str, total: int, requests: int) -> None:
 _MAX_TRACE_LINES = 1 << 23
 
 
-def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
+def _fiber_touch_misses(
+    ctx, cfg, trace: tuple, fibers: np.ndarray, nnzs: np.ndarray
+) -> np.ndarray:
     """Per-touch streaming-cache misses for an ordered fiber-touch sequence.
 
-    ``fibers``/``nnzs`` must already exclude empty fibers.  Uses the batched
-    LRU model when the full line trace fits the memory budget; otherwise
-    drives the context's reference reader touch by touch (bit-identical
-    either way).  Cache hit/miss *statistics* are updated here in both
-    paths, so callers must not account them again.
+    ``fibers``/``nnzs`` must already exclude empty fibers.  The sequence is
+    a function of the (stationary, streaming) view pair and of ``trace``,
+    which names the dataflow's touch order plus every configuration field
+    that order depends on; the outcome further depends only on the cache
+    geometry.  It is therefore memoized per view pair under
+    ``trace`` + geometry, so the design points and trials that share both
+    model the trace once.  Cache hit/miss *statistics* are credited here
+    from the per-touch array on every call, so callers must not account
+    them again.
+    """
+    geometry = (
+        ctx.cache.num_sets,
+        cfg.str_cache_associativity,
+        cfg.str_cache_line_bytes,
+        ctx.element_bytes,
+    )
+    misses = cached_derived(
+        ("touch_misses",) + trace + geometry,
+        lambda: _touch_misses(ctx, cfg, fibers, nnzs),
+        ctx.stationary,
+        ctx.streaming,
+    )
+    total_misses = int(misses.sum())
+    total_elements = int(nnzs.sum())
+    ctx.cache.stats.accesses += total_elements
+    ctx.cache.stats.misses += total_misses
+    ctx.cache.stats.hits += total_elements - total_misses
+    ctx.cache.stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
+    return misses
+
+
+def _touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
+    """Uncached body of :func:`_fiber_touch_misses` (a read-only array).
+
+    Uses the batched LRU model when the full line trace fits the memory
+    budget; otherwise walks a cold cache of the context's geometry with the
+    reference reader, touch by touch (bit-identical either way).  The walk's
+    own counters are discarded: the caller credits them from the array.
     """
     first_line, line_counts = fiber_line_spans(
         ctx.streaming.pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
@@ -143,17 +196,23 @@ def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.nd
         lines, line_touch = expand_spans(first_line, line_counts)
         hits = lru_hits(lines, ctx.cache.num_sets, cfg.str_cache_associativity)
         misses = np.bincount(line_touch[~hits], minlength=len(fibers))
-        total_misses = int(misses.sum())
-        total_elements = int(nnzs.sum())
-        ctx.cache.stats.accesses += total_elements
-        ctx.cache.stats.misses += total_misses
-        ctx.cache.stats.hits += total_elements - total_misses
-        ctx.cache.stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
-        return misses
-    reader = ctx.reader
-    return np.array(
-        [reader.touch_fiber(int(fiber)) for fiber in fibers], dtype=np.int64
-    )
+    else:
+        cache = ctx.cache
+        reader = StreamingTileReader(
+            ctx.streaming,
+            StreamingCache(
+                cache.capacity_bytes,
+                cache.line_bytes,
+                cache.associativity,
+                banks=cache.banks,
+                element_bytes=cache.element_bytes,
+            ),
+        )
+        misses = np.array(
+            [reader.touch_fiber(int(fiber)) for fiber in fibers], dtype=np.int64
+        )
+    misses.setflags(write=False)
+    return misses
 
 
 def pack_whole_fibers(
@@ -339,8 +398,9 @@ def run_outer_product(engine, ctx) -> None:
         mults_b = mult_prefix[boundaries[1:]] - mult_prefix[boundaries[:-1]]
 
         active = touch_nnz > 0
+        # Batch boundaries re-touch fibers, so the trace depends on P.
         miss_per_touch = _fiber_touch_misses(
-            ctx, cfg, touch_k[active], touch_nnz[active]
+            ctx, cfg, ("op", P), touch_k[active], touch_nnz[active]
         )
         miss_b = np.zeros(nb, dtype=np.int64)
         np.add.at(miss_b, touch_b[active], miss_per_touch)
@@ -512,7 +572,10 @@ def run_gustavson(engine, ctx) -> None:
     mults_b = streamed_b
 
     active = touch_nnz > 0
-    miss_per_touch = _fiber_touch_misses(ctx, cfg, ks[active], touch_nnz[active])
+    # A's CSR storage order: the trace does not depend on P.
+    miss_per_touch = _fiber_touch_misses(
+        ctx, cfg, ("gust",), ks[active], touch_nnz[active]
+    )
     miss_b = np.zeros(nchunks, dtype=np.int64)
     np.add.at(miss_b, elem_chunk[active], miss_per_touch)
     total_misses = int(miss_per_touch.sum())
@@ -520,18 +583,24 @@ def run_gustavson(engine, ctx) -> None:
 
     # Per-chunk output unions of the multi-chunk rows (the partial fibers
     # written to / merged from the PSRAM); single-chunk rows write C rows
-    # straight out.
-    chunk_out = np.zeros(nchunks, dtype=np.int64)
-    multi_elems = multi_b[elem_chunk]
-    if np.any(multi_elems):
-        chunk_out += grouped_union_counts(
-            np.asarray(b_csr.indices, dtype=np.int64),
-            np.asarray(b_csr.pointers, dtype=np.int64),
-            ks[multi_elems],
-            elem_chunk[multi_elems],
-            nchunks,
-            b_csr.minor_dim,
-        )
+    # straight out.  They depend only on the operand pair and P, so they are
+    # memoized per (A CSR, B CSR, P) across design points and trials.
+    def chunk_unions() -> np.ndarray:
+        unions = np.zeros(nchunks, dtype=np.int64)
+        multi_elems = multi_b[elem_chunk]
+        if np.any(multi_elems):
+            unions += grouped_union_counts(
+                np.asarray(b_csr.indices, dtype=np.int64),
+                np.asarray(b_csr.pointers, dtype=np.int64),
+                ks[multi_elems],
+                elem_chunk[multi_elems],
+                nchunks,
+                b_csr.minor_dim,
+            )
+        unions.setflags(write=False)
+        return unions
+
+    chunk_out = cached_derived(("gust_unions", P), chunk_unions, a_csr, b_csr)
     out_bytes_b = np.where(multi_b, 0, ctx.c_row_nnz[chunk_row]) * eb
 
     total_sta = int(sta_b.sum())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,8 +79,13 @@ class CompressedMatrix:
     """
 
     # __weakref__ lets the runtime memoize content digests per instance
-    # (repro.runtime.jobs) without keeping matrices alive.
-    __slots__ = ("nrows", "ncols", "layout", "pointers", "indices", "values", "__weakref__")
+    # (repro.runtime.jobs) without keeping matrices alive.  ``_transpose_of``
+    # is a weak back-link from a :meth:`transposed` view to its live base
+    # (``None`` otherwise); it is process-local and never pickled.
+    __slots__ = (
+        "nrows", "ncols", "layout", "pointers", "indices", "values",
+        "_transpose_of", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -105,8 +110,19 @@ class CompressedMatrix:
         self.pointers = _frozen(pointers, np.int64)
         self.indices = _frozen(indices, np.int64)
         self.values = _frozen(values, np.float64)
+        self._transpose_of = None
         if validate:
             self._validate()
+
+    def __getstate__(self):
+        # The default slot state minus the weak back-link, so a pickled
+        # view carries only its storage (and plain matrices pickle as before).
+        return None, {name: getattr(self, name) for name in _STORAGE_SLOTS}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._transpose_of = None
 
     # ------------------------------------------------------------------
     # Validation and basic properties
@@ -259,10 +275,16 @@ class CompressedMatrix:
         Matrices are treated as immutable once built, so the converted view
         is memoized per instance: the engine (and the mapper's candidate
         trials) can re-request the CSR/CSC view of the same operand without
-        paying the conversion again.
+        paying the conversion again.  A :meth:`transposed` view whose base is
+        alive converts through it (``base.with_layout(layout.other)``,
+        transposed), so the mirrored trials of the N-stationary dataflows
+        reuse the conversions of the M-stationary ones.
         """
         if layout is self.layout:
             return self
+        base = self.transpose_base()
+        if base is not None:
+            return base.with_layout(layout.other).transposed()
         return cached_derived(layout.value, lambda: self._convert_layout(layout), self)
 
     def _convert_layout(self, layout: Layout) -> "CompressedMatrix":
@@ -287,8 +309,12 @@ class CompressedMatrix:
         """
         return cached_derived("transposed", self._transpose, self)
 
+    def transpose_base(self) -> "CompressedMatrix | None":
+        """The live matrix this one is the :meth:`transposed` view of, if any."""
+        return None if self._transpose_of is None else self._transpose_of()
+
     def _transpose(self) -> "CompressedMatrix":
-        return CompressedMatrix(
+        view = CompressedMatrix(
             nrows=self.ncols,
             ncols=self.nrows,
             layout=self.layout.other,
@@ -298,6 +324,8 @@ class CompressedMatrix:
             # Shares this matrix's (already validated) storage arrays.
             validate=False,
         )
+        view._transpose_of = weakref.ref(self)
+        return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedMatrix):
@@ -317,6 +345,10 @@ class CompressedMatrix:
         )
 
 
+#: The slots that make up a matrix's value (and its pickled state).
+_STORAGE_SLOTS = ("nrows", "ncols", "layout", "pointers", "indices", "values")
+
+
 # ----------------------------------------------------------------------
 # Per-instance derived-value memoization
 # ----------------------------------------------------------------------
@@ -328,12 +360,14 @@ class CompressedMatrix:
 _DERIVED_CACHE: dict[tuple, tuple] = {}
 
 
-def cached_derived(kind: str, build, *owners):
-    """Memoize ``build()`` per live ``owners`` instance tuple.
+def cached_derived(kind: Hashable, build, *owners):
+    """Memoize ``build()`` per ``kind`` and live ``owners`` instance tuple.
 
     Shared by the layout/transpose views below and by derived per-pair
-    structure elsewhere (e.g. the engine's output-row counts), so the
-    subtle id+weakref eviction logic exists exactly once.
+    structure elsewhere (the engine's output counts, streaming-cache
+    outcomes and Gustavson unions), so the subtle id+weakref eviction logic
+    exists exactly once.  ``kind`` names the value and carries every other
+    input it depends on (e.g. a cache geometry).
     """
     # ``id`` here is only a *memo* key for the per-instance derived value —
     # it never reaches a content digest (key paths that traverse a derived

@@ -282,14 +282,20 @@ def test_batched_lru_matches_fiber_touch_walk():
 
 
 def test_trace_memory_fallback_is_bit_identical(monkeypatch):
-    """Over-budget traces fall back to the per-line walk, same results."""
+    """Over-budget traces fall back to the per-line walk, same results.
+
+    The second vectorized run answers from the memoized miss array, so the
+    walk's cache counters must be credited once per run, not twice.
+    """
     monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", 0)
     a, b = _make_pair(LAYER_CASES[3])
     for config in CONFIGS[:2]:
         for dataflow in (Dataflow.OP_M, Dataflow.GUST_M, Dataflow.GUST_N):
             r = SpmspmEngine(config, backend="reference").run_layer(dataflow, a, b)
-            v = SpmspmEngine(config, backend="vectorized").run_layer(dataflow, a, b)
-            _assert_results_equal(r, v, ("fallback", dataflow))
+            vectorized = SpmspmEngine(config, backend="vectorized")
+            for run in ("walked", "memoized"):
+                v = vectorized.run_layer(dataflow, a, b)
+                _assert_results_equal(r, v, ("fallback", run, dataflow))
 
 
 def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
@@ -305,17 +311,25 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
         ks, groups, 12, b.ncols,
     )
     fast = kernels.grouped_union_counts(*args)
+    fast_both = kernels.grouped_union_counts(*args, with_minor_counts=True)
     monkeypatch.setattr(kernels, "_scipy_sparse", None)
     slow = kernels.grouped_union_counts(*args)
+    slow_both = kernels.grouped_union_counts(*args, with_minor_counts=True)
     assert np.array_equal(fast, slow)
-    # Against a straightforward per-group set union.
+    # Against a straightforward per-group set union; the minor counts are
+    # how many group unions hold each coordinate.
     expected = np.zeros(12, dtype=np.int64)
+    expected_minor = np.zeros(b.ncols, dtype=np.int64)
     for g in range(12):
         cols = set()
         for k in ks[groups == g]:
             cols.update(b.indices[b.pointers[k]:b.pointers[k + 1]].tolist())
         expected[g] = len(cols)
+        expected_minor[sorted(cols)] += 1
     assert np.array_equal(fast, expected)
+    for rows, minor in (fast_both, slow_both):
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(minor, expected_minor)
 
 
 # ----------------------------------------------------------------------
