@@ -1,4 +1,6 @@
-"""Ablation — streaming-cache capacity sweep (design decision from DESIGN.md).
+"""Ablation — streaming-cache capacity sweep.
+
+The cache model is described in README.md, "Engine backends".
 
 Sweeps the STR cache size on a layer whose streaming operand is larger than
 the smallest cache and shows the crossover the paper's Section 5.2 explains:

@@ -1,4 +1,6 @@
-"""Ablation — PSRAM capacity sweep (design decision from DESIGN.md).
+"""Ablation — PSRAM capacity sweep.
+
+The PSRAM model is described in README.md, "Engine backends".
 
 The Outer-Product dataflow holds every partial sum on chip until the merging
 phase; when the PSRAM is too small the excess spills to DRAM and the merging

@@ -5,19 +5,20 @@ The package reproduces, in pure Python, the system described in
     "Flexagon: A Multi-Dataflow Sparse-Sparse Matrix Multiplication
      Accelerator for Efficient DNN Processing", ASPLOS 2023.
 
-Public API layers (see DESIGN.md for the full inventory):
+Public API layers (see README.md, "Repository layout", for the full
+inventory):
 
 * :mod:`repro.api` — **the public facade**: :class:`Session`,
   declarative :class:`SweepSpec`/:class:`FigureQuery` requests, typed
   JSON-round-trippable responses, and the ``python -m repro`` CLI.
 * :mod:`repro.sparse` — compressed formats (CSR/CSC), fibers, generators.
 * :mod:`repro.dataflows` — the six SpMSpM dataflows and their taxonomy.
-* :mod:`repro.arch` — cycle-accounting hardware components (MRN, caches,
-  PSRAM, DRAM, controllers).
-* :mod:`repro.accelerators` — Flexagon plus the SIGMA-like, SpArch-like,
+* :mod:`repro.arch` — the hardware configuration and the models the engine
+  drives (streaming cache, DRAM, streaming tile reader), plus the MRN.
+* :mod:`repro.accelerators` — the cycle-accounting engine that models all
+  of Flexagon's hardware, Flexagon plus the SIGMA-like, SpArch-like,
   GAMMA-like and CPU baselines, and the area/power model.
-* :mod:`repro.core` — the mapper (dataflow analysis), tiling and the DNN
-  layer-chain scheduler.
+* :mod:`repro.core` — the per-layer dataflow mapper.
 * :mod:`repro.workloads` — the 8 DNN models and 9 representative layers of
   the paper's evaluation.
 * :mod:`repro.metrics` — result records and report formatting.

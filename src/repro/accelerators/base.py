@@ -46,21 +46,12 @@ class Accelerator(abc.ABC):
         """The dataflows this design can execute."""
 
     @abc.abstractmethod
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout=None,
-        produced_layout=None,
-    ) -> Dataflow:
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
         """Pick the dataflow this design would configure for the given layer.
 
-        ``activation_layout`` is the layout the activations arrive in from the
-        previous layer; ``produced_layout`` optionally constrains the layout
-        the output must be produced in.  Fixed-dataflow designs may ignore
-        either hint (and then pay the explicit-conversion cost the scheduler
-        charges).
+        Flexagon asks its mapper; a fixed-dataflow design always returns its
+        family's M-stationary variant.  Layers run independently, so no
+        layout carries over from the previous layer to steer the choice.
         """
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """CPU MKL-like software baseline (Section 4, Table 2, Fig. 12).
 
 The paper compares the accelerators against Intel MKL's SpGEMM running on a
-4-core i5-7400 at 3 GHz.  We cannot run MKL, so — per the substitution policy
-in DESIGN.md — this module provides a software Gustavson SpGEMM together with
-an analytical cost model of a multicore CPU executing it.  The cost model
+4-core i5-7400 at 3 GHz.  We cannot run MKL, so — see "Substitutions" at the
+top of README.md — this module provides a software Gustavson SpGEMM together
+with an analytical cost model of a multicore CPU executing it.  The cost model
 charges a fixed number of core cycles per effectual multiply-accumulate, per
 input element touched and per output element materialised (index arithmetic,
 hashing and write-back dominate sparse kernels on CPUs), divided over the

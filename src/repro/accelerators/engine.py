@@ -10,7 +10,7 @@ that substrate: it executes one SpMSpM layer under a given dataflow and
 returns cycles (split into stationary / streaming / merging phases), on-chip
 and off-chip traffic, cache miss rates and PSRAM behaviour.
 
-Modelling approach (see DESIGN.md, "Simulation fidelity model"): the engine
+Modelling approach (see README.md, "Engine backends"): the engine
 walks the exact element streams each dataflow produces, drives an exact
 set-associative model of the streaming cache and an occupancy model of the
 PSRAM, and converts element counts into cycles with the configured bandwidth
@@ -548,8 +548,10 @@ def _pack_whole_fibers(
 
     Returns batches as lists of ``(major_index, start, end)`` index ranges
     into the matrix storage.  Fibers longer than the array are split into
-    array-sized chunks that occupy a batch alone (temporal K-tiling), matching
-    :class:`repro.arch.controllers.stationary.StationaryTileReader`.
+    array-sized chunks that occupy a batch alone (temporal K-tiling).  The
+    stationary tile reader of Fig. 11 fills the multiplier array this way;
+    this walk is also the oracle of the vectorized backend's
+    :func:`repro.engine_vec.kernels.pack_whole_fibers`.
     """
     batches: list[list[tuple[int, int, int]]] = []
     current: list[tuple[int, int, int]] = []

@@ -1,20 +1,14 @@
-"""Unified memory controllers (Section 3.5, Fig. 11).
+"""Memory controllers (Section 3.5, Fig. 11).
 
-Rather than one controller per (dataflow, memory structure) pair — 30 logic
-modules — Flexagon uses five configurable controllers: a tile filler and a
-tile reader for the stationary operand, a tile filler and a tile reader for
-the streaming operand, and a tile writer for matrix C.  The classes here
-reproduce that split; the accelerator engine instantiates them per layer and
-drives them according to the configured dataflow.
+Flexagon replaces one controller per (dataflow, memory structure) pair with
+five configurable ones: a tile filler and a tile reader per input operand and
+a tile writer for matrix C.  Only the streaming-operand tile reader is an
+object here, because its cache behaviour is data-dependent; the engine
+packs stationary batches and charges output writes with plain arithmetic.
 """
 
-from repro.arch.controllers.stationary import StationaryBatch, StationaryTileReader
 from repro.arch.controllers.streaming import StreamingTileReader
-from repro.arch.controllers.writer import OutputTileWriter
 
 __all__ = [
-    "StationaryBatch",
-    "StationaryTileReader",
     "StreamingTileReader",
-    "OutputTileWriter",
 ]

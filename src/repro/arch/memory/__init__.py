@@ -1,34 +1,22 @@
-"""The L1 memory organisation of Flexagon (Section 3.4, Fig. 9).
+"""The L1 memory models the engine drives (Section 3.4, Fig. 9).
 
-Three customised structures, each matched to the access pattern of one
-operand class:
-
-* :class:`~repro.arch.memory.fifo.StationaryFifo` — sequential, read-once
-  accesses of the stationary matrix.
 * :class:`~repro.arch.memory.cache.StreamingCache` — a read-only
   set-associative cache absorbing the (potentially irregular) accesses of the
   streaming matrix.
-* :class:`~repro.arch.memory.psram.Psram` — the way-combining, k-tagged
-  partial-sum store with ``PartialWrite``/``Consume`` semantics.
-* :class:`~repro.arch.memory.write_buffer.WriteBuffer` — the output FIFO that
-  hides DRAM write latency.
 * :class:`~repro.arch.memory.dram.DramModel` — the off-chip HBM model that
   every structure ultimately fills from / drains to.
+
+The stationary FIFO and the PSRAM have no object of their own: the engine
+charges stationary fills as DRAM reads and models PSRAM occupancy and spills
+with block arithmetic over the partial-fiber lengths.
 """
 
 from repro.arch.memory.dram import DramModel, DramTrafficCounter
-from repro.arch.memory.fifo import StationaryFifo
 from repro.arch.memory.cache import CacheStats, StreamingCache
-from repro.arch.memory.psram import Psram, PsramStats
-from repro.arch.memory.write_buffer import WriteBuffer
 
 __all__ = [
     "DramModel",
     "DramTrafficCounter",
-    "StationaryFifo",
     "StreamingCache",
     "CacheStats",
-    "Psram",
-    "PsramStats",
-    "WriteBuffer",
 ]

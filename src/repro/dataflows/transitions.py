@@ -3,9 +3,12 @@
 M-stationary dataflows emit matrix C in CSR; N-stationary dataflows emit CSC.
 When the next layer's chosen dataflow can accept its activation operand in
 the format the previous layer produced, no explicit format conversion is
-needed; otherwise an Explicit Conversion (EC) would be required.  Flexagon's
-mapper uses this table to chain per-layer dataflow choices without paying for
-conversions, which is one of the paper's contributions.
+needed; otherwise an Explicit Conversion (EC) would be required.  The
+paper's mapper uses this table to chain per-layer dataflow choices without
+paying for conversions, which is one of its contributions.  This
+reproduction runs every layer independently (no conversion state flows
+between layers), so the table is reproduced as Table 4 but does not steer
+the mapper.
 
 In a layer chain ``C_layer_i`` becomes the *A operand* (the activations) of
 layer ``i+1``; the weights of layer ``i+1`` are assumed to be stored offline
@@ -18,33 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dataflows.base import DATAFLOW_PROPERTIES, Dataflow
-from repro.sparse.formats import Layout
-
-
-def produced_layout(dataflow: Dataflow) -> Layout:
-    """Layout in which ``dataflow`` emits its output matrix C."""
-    return DATAFLOW_PROPERTIES[dataflow].c_format
-
-
-def required_activation_layout(dataflow: Dataflow) -> Layout:
-    """Layout in which ``dataflow`` needs its activation (A) operand.
-
-    The activation tensor of a DNN layer is always the A operand of the
-    SpMSpM (the weights are stored offline in both layouts, as the paper
-    assumes), so the constraint on a transition is simply the *A format*
-    column of Table 3 for the following layer's dataflow.
-    """
-    return DATAFLOW_PROPERTIES[dataflow].a_format
 
 
 def requires_explicit_conversion(previous: Dataflow, following: Dataflow) -> bool:
     """True when chaining ``previous`` -> ``following`` needs an explicit conversion.
 
     This reproduces Table 4: a transition is free exactly when the layout the
-    first layer produces matches the layout the second layer consumes its
-    activations in.
+    first layer produces C in (the *C format* column of Table 3) matches the
+    layout the second layer consumes its activations in (its *A format*
+    column; the weights are stored offline in both layouts, as the paper
+    assumes).
     """
-    return produced_layout(previous) is not required_activation_layout(following)
+    produced = DATAFLOW_PROPERTIES[previous].c_format
+    consumed = DATAFLOW_PROPERTIES[following].a_format
+    return produced is not consumed
 
 
 @dataclass(frozen=True)

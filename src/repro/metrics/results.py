@@ -143,9 +143,9 @@ class LayerSimResult:
     """Outcome of simulating one SpMSpM layer on one accelerator.
 
     The record is **immutable by contract**: the dataclass is frozen and
-    every post-construction adjustment (the scheduler folding conversion
-    overhead into a layer, the engine relabelling a mirrored run) goes
-    through :func:`dataclasses.replace` with freshly built components.  That
+    every post-construction adjustment (the engine relabelling a mirrored
+    run, a design stamping its name on a cached record) goes through
+    :func:`dataclasses.replace` with freshly built components.  That
     is what lets the batch runner hand the *same* record object to every
     duplicate slot of a batch — and to every consumer of a cached entry —
     without defensive deep copies.  The nested ``cycles``/``traffic``/
@@ -228,14 +228,16 @@ class ModelSimResult:
     accelerator: str
     model_name: str
     layer_results: list[LayerSimResult] = field(default_factory=list)
-    #: Explicit format conversions that had to be inserted between layers.
+    #: Explicit format conversions inserted between layers, and the extra
+    #: off-chip bytes they moved.  Layers run independently (no conversion
+    #: state flows between them), so both are always 0; they stay because
+    #: stored records carry them.
     explicit_conversions: int = 0
-    #: Extra off-chip bytes those conversions moved.
     conversion_bytes: int = 0
 
     @property
     def total_cycles(self) -> float:
-        """Sum of layer cycles plus any conversion overhead already folded in."""
+        """Sum of the layer cycles."""
         return sum(layer.total_cycles for layer in self.layer_results)
 
     @property

@@ -269,8 +269,8 @@ class CompressedMatrix:
         """Return an equivalent matrix stored in ``layout``.
 
         This is the *explicit format conversion* the paper's inter-layer
-        dataflow mechanism avoids in hardware; in software we provide it both
-        as a utility and to model the cost of explicit conversions.
+        dataflow mechanism avoids in hardware; in software it builds the
+        operand view each dataflow reads (Table 3).
 
         Matrices are treated as immutable once built, so the converted view
         is memoized per instance: the engine (and the mapper's candidate

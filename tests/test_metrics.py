@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflows import Dataflow
+from repro.accelerators import GammaLikeAccelerator, SigmaLikeAccelerator
+from repro.arch.config import default_config
+from repro.dataflows import Dataflow, DataflowClass
 from repro.dataflows.stats import DataflowStats
 from repro.metrics import (
     LayerSimResult,
@@ -17,6 +19,7 @@ from repro.metrics import (
     speedup,
 )
 from repro.metrics.reporting import histogram_line, series_to_rows
+from repro.sparse import random_sparse
 
 
 class TestPhaseCycles:
@@ -68,6 +71,37 @@ class TestModelSimResult:
         histogram = result.dataflow_histogram
         assert histogram[Dataflow.IP_M] == 2
         assert histogram[Dataflow.GUST_M] == 1
+
+
+class TestModelSimResultFromEngine:
+    """A model result assembled from engine-simulated layers of a chain."""
+
+    def _run_chain(self, accelerator, num_layers=3, seed=20):
+        """Run a layer chain (C of layer i feeds layer i+1's K) layer by layer."""
+        layers = []
+        m, k = 40, 48
+        for i in range(num_layers):
+            n = 40 + 8 * i
+            a = random_sparse(m, k, 0.35, seed=seed + i)
+            b = random_sparse(k, n, 0.3, seed=seed + 100 + i)
+            layers.append(accelerator.run_layer(a, b, layer_name=f"layer{i}"))
+            k = n
+        return ModelSimResult(
+            accelerator=accelerator.name, model_name="toy", layer_results=layers
+        )
+
+    def test_dataflow_histogram(self):
+        result = self._run_chain(GammaLikeAccelerator(default_config()))
+        histogram = result.dataflow_histogram
+        assert sum(histogram.values()) == 3
+        assert all(d.dataflow_class is DataflowClass.GUSTAVSON for d in histogram)
+
+    def test_total_traffic_aggregates_layers(self):
+        result = self._run_chain(SigmaLikeAccelerator(default_config()))
+        assert result.total_traffic.onchip_bytes == sum(
+            layer.traffic.onchip_bytes for layer in result.layer_results
+        )
+        assert result.total_traffic.onchip_bytes > 0
 
 
 class TestAggregations:

@@ -1,145 +1,23 @@
-"""Tests for the on-chip networks: distribution, multipliers and the MRN."""
+"""Tests for the Merger-Reduction Network: the tick-level oracle and the closed form."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.distribution import DistributionNetwork
+from repro.accelerators.engine import SpmspmEngine
+from repro.arch.config import default_config
 from repro.arch.mrn import (
     MergerReductionNetwork,
     NodeMode,
     merge_cycles,
     reduction_cycles,
 )
-from repro.arch.multiplier import MultiplierMode, MultiplierNetwork, MultiplierSwitch
-from repro.sparse.fiber import Element, Fiber
+from repro.dataflows import Dataflow
+from repro.sparse import random_sparse
+from repro.sparse.fiber import Fiber
 
 
-# ----------------------------------------------------------------------
-# Distribution network
-# ----------------------------------------------------------------------
-class TestDistributionNetwork:
-    def test_benes_structure(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.levels == 2 * 6 + 1
-        assert dn.num_switches == dn.levels * 32
-
-    def test_delivery_cycles_bandwidth_bound(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.deliver(32) == pytest.approx(2.0)
-        assert dn.cycles_for(8) == pytest.approx(0.5)
-        assert dn.cycles_for(0) == 0.0
-
-    def test_delivery_modes_counted(self):
-        dn = DistributionNetwork(num_outputs=8, bandwidth=4)
-        dn.deliver(3, destinations=1)
-        dn.deliver(5, destinations=4)
-        dn.deliver(2, destinations=8)
-        assert dn.stats.unicasts == 3
-        assert dn.stats.multicasts == 5
-        assert dn.stats.broadcasts == 2
-        assert dn.stats.elements_delivered == 10
-
-    def test_multicast_cost_independent_of_fanout(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.deliver(16, destinations=2) == dn.deliver(16, destinations=60)
-
-    def test_zero_elements_free(self):
-        dn = DistributionNetwork(num_outputs=4, bandwidth=2)
-        assert dn.deliver(0) == 0.0
-        assert dn.deliver(5, destinations=0) == 0.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            DistributionNetwork(0, 16)
-        with pytest.raises(ValueError):
-            DistributionNetwork(8, 0)
-        with pytest.raises(ValueError):
-            DistributionNetwork(8, 4).deliver(-1)
-
-
-# ----------------------------------------------------------------------
-# Multiplier network
-# ----------------------------------------------------------------------
-class TestMultiplierSwitch:
-    def test_multiplier_mode(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.MULTIPLIER)
-        switch.load_stationary(3.0, coord=(1, 2))
-        out = switch.process(Element(7, 2.0))
-        assert out == Element(7, 6.0)
-        assert switch.stats.multiplications == 1
-
-    def test_forwarder_mode_passes_through(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.FORWARDER)
-        element = Element(3, 1.5)
-        assert switch.process(element) == element
-        assert switch.stats.forwards == 1
-
-    def test_multiplier_without_stationary_value_raises(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.MULTIPLIER)
-        with pytest.raises(RuntimeError):
-            switch.process(Element(0, 1.0))
-
-    def test_idle_switch_rejects_data(self):
-        switch = MultiplierSwitch(0)
-        with pytest.raises(RuntimeError):
-            switch.process(Element(0, 1.0))
-
-    def test_clear_stationary(self):
-        switch = MultiplierSwitch(0)
-        switch.load_stationary(2.0)
-        switch.clear_stationary()
-        assert switch.stationary_value is None
-
-
-class TestMultiplierNetwork:
-    def test_network_size_and_access(self):
-        mn = MultiplierNetwork(8)
-        assert len(mn) == 8
-        assert mn[3].index == 3
-
-    def test_configure_all(self):
-        mn = MultiplierNetwork(4)
-        mn.configure_all(MultiplierMode.FORWARDER)
-        assert all(s.mode is MultiplierMode.FORWARDER for s in mn.switches)
-
-    def test_load_stationary_elements_truncates(self):
-        mn = MultiplierNetwork(3)
-        loaded = mn.load_stationary_elements([(1.0, (0, 0)), (2.0, (0, 1)),
-                                              (3.0, (1, 0)), (4.0, (1, 1))])
-        assert loaded == 3
-        assert mn[0].stationary_value == 1.0
-        assert mn[2].stationary_value == 3.0
-
-    def test_load_fewer_clears_rest(self):
-        mn = MultiplierNetwork(4)
-        mn.load_stationary_elements([(1.0, None)] * 4)
-        mn.load_stationary_elements([(9.0, None)])
-        assert mn[0].stationary_value == 9.0
-        assert mn[1].stationary_value is None
-
-    def test_total_stats_aggregates(self):
-        mn = MultiplierNetwork(2)
-        mn.configure_all(MultiplierMode.MULTIPLIER)
-        mn[0].load_stationary(2.0)
-        mn[1].load_stationary(3.0)
-        mn[0].process(Element(0, 1.0))
-        mn[1].process(Element(1, 1.0))
-        totals = mn.total_stats()
-        assert totals.multiplications == 2
-        assert totals.stationary_loads == 2
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            MultiplierNetwork(0)
-
-
-# ----------------------------------------------------------------------
-# Merger-Reduction Network
-# ----------------------------------------------------------------------
 def sorted_fiber(pairs):
     return Fiber(sorted(pairs), sort=True)
 
@@ -278,3 +156,55 @@ class TestClosedFormEstimates:
 
     def test_bandwidth_floor(self):
         assert reduction_cycles(10, 0, 2) == pytest.approx(10 + 2)
+
+
+def op_row_merge_inputs(a, b):
+    """Partial-sum elements each output row of an Outer-Product ``a x b`` merges.
+
+    Every stationary scalar ``a[m, k]`` emits one partial fiber of length
+    ``nnz(b[k, :])`` for row ``m``.
+    """
+    b_row_nnz = (b.to_dense() != 0).sum(axis=1)
+    return (a.to_dense() != 0).astype(np.int64) @ b_row_nnz
+
+
+class TestMrnIsTheEngineMergeOracle:
+    """The engine's Outer-Product merge phase is ``merge_cycles`` per row, with
+    the tree depth of the MRN the tick-level simulator models.
+
+    With K <= P every output row has at most P partial fibers, so it merges
+    in one pass; the default DRAM bandwidth (320 B/cycle) keeps the output
+    writes below the merge time and the layers are too small to spill the
+    PSRAM.  Under those conditions ``cycles.merging`` is exactly the sum
+    over rows of the closed form, on both engine backends.
+    """
+
+    @given(
+        p=st.sampled_from([2, 4, 8, 16, 64]),
+        bandwidth=st.sampled_from([1, 3, 16]),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        k_frac=st.floats(0.0, 1.0),
+        densities=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        seed=st.integers(0, 2**16),
+        dataflow=st.sampled_from([Dataflow.OP_M, Dataflow.OP_N]),
+        backend=st.sampled_from(["reference", "vectorized"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merging_cycles_equal_mrn_closed_form(
+        self, p, bandwidth, m, n, k_frac, densities, seed, dataflow, backend
+    ):
+        k = max(1, round(k_frac * p))
+        a = random_sparse(m, k, densities[0], seed=seed)
+        b = random_sparse(k, n, densities[1], seed=seed + 1)
+        config = default_config(num_multipliers=p, reduction_bandwidth=bandwidth)
+        result = SpmspmEngine(config, backend=backend).run_layer(dataflow, a, b)
+        assert result.dram.psum_spill_bytes == 0
+
+        # An N-stationary dataflow runs the mirrored product b.T x a.T.
+        rows = op_row_merge_inputs(a, b) if dataflow is Dataflow.OP_M else (
+            op_row_merge_inputs(b.transposed(), a.transposed())
+        )
+        levels = MergerReductionNetwork(p).levels
+        expected = sum(merge_cycles(int(inputs), bandwidth, levels) for inputs in rows)
+        assert result.cycles.merging == expected

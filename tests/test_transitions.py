@@ -3,11 +3,11 @@
 import pytest
 
 from repro.dataflows import (
+    DATAFLOW_PROPERTIES,
     Dataflow,
     requires_explicit_conversion,
     transition_table,
 )
-from repro.dataflows.transitions import produced_layout, required_activation_layout
 from repro.sparse import Layout
 
 M_STATIONARY = [Dataflow.IP_M, Dataflow.OP_M, Dataflow.GUST_M]
@@ -34,21 +34,21 @@ PAPER_TABLE4 = {
 class TestProducedLayout:
     @pytest.mark.parametrize("dataflow", M_STATIONARY, ids=lambda d: d.name)
     def test_m_stationary_produces_csr(self, dataflow):
-        assert produced_layout(dataflow) is Layout.CSR
+        assert DATAFLOW_PROPERTIES[dataflow].c_format is Layout.CSR
 
     @pytest.mark.parametrize("dataflow", N_STATIONARY, ids=lambda d: d.name)
     def test_n_stationary_produces_csc(self, dataflow):
-        assert produced_layout(dataflow) is Layout.CSC
+        assert DATAFLOW_PROPERTIES[dataflow].c_format is Layout.CSC
 
 
 class TestRequiredActivationLayout:
     def test_matches_table3_a_formats(self):
-        assert required_activation_layout(Dataflow.IP_M) is Layout.CSR
-        assert required_activation_layout(Dataflow.OP_M) is Layout.CSC
-        assert required_activation_layout(Dataflow.GUST_M) is Layout.CSR
-        assert required_activation_layout(Dataflow.IP_N) is Layout.CSR
-        assert required_activation_layout(Dataflow.OP_N) is Layout.CSC
-        assert required_activation_layout(Dataflow.GUST_N) is Layout.CSC
+        assert DATAFLOW_PROPERTIES[Dataflow.IP_M].a_format is Layout.CSR
+        assert DATAFLOW_PROPERTIES[Dataflow.OP_M].a_format is Layout.CSC
+        assert DATAFLOW_PROPERTIES[Dataflow.GUST_M].a_format is Layout.CSR
+        assert DATAFLOW_PROPERTIES[Dataflow.IP_N].a_format is Layout.CSR
+        assert DATAFLOW_PROPERTIES[Dataflow.OP_N].a_format is Layout.CSC
+        assert DATAFLOW_PROPERTIES[Dataflow.GUST_N].a_format is Layout.CSC
 
 
 class TestTransitionTable:
